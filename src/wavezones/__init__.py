@@ -11,13 +11,11 @@ from .asymptotics import (
     TermDescriptor,
     airy_term,
     assemble_field,
-    j_parameters,
     j_term,
     q_function,
     sp_term,
 )
 from .dispersion import (
-    BranchFunction,
     GroupVelocityExtremum,
     branch_k,
     cutoff_frequencies,
@@ -34,6 +32,7 @@ from .model import (
     amplitude_A,
     crossing_point,
     dispersion_D,
+    j_parameters,
     load_params,
     validate,
 )
@@ -46,10 +45,8 @@ from .oracle import (
 )
 from .saddle import (
     SaddlePoint,
-    doi_interval,
     find_complex_saddles,
     find_real_saddles,
-    neighbors_overlap,
     phase_difference,
 )
 from .special import airy_ai, airy_ai_prime, bessel_j0
@@ -67,7 +64,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_PARAMS",
-    "BranchFunction",
     "CrossingPoint",
     "FieldValue",
     "GroupVelocityExtremum",
@@ -91,7 +87,6 @@ __all__ = [
     "crossing_point",
     "cutoff_frequencies",
     "dispersion_D",
-    "doi_interval",
     "exchange_branch_points",
     "field_modal_integral",
     "find_complex_saddles",
@@ -102,7 +97,6 @@ __all__ = [
     "j_parameters",
     "j_term",
     "load_params",
-    "neighbors_overlap",
     "parent_of",
     "phase_difference",
     "q_function",

@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from .asymptotics import airy_term, assemble_field, j_parameters, j_term, q_function, sp_term
+from .asymptotics import airy_term, assemble_field, j_term, q_function, sp_term
 from .dispersion import (
     branch_k,
     cutoff_frequencies,
@@ -27,7 +27,7 @@ from .dispersion import (
     group_velocity,
     group_velocity_extrema,
 )
-from .model import DEFAULT_PARAMS, WaveguideParams, crossing_point, dispersion_D
+from .model import DEFAULT_PARAMS, WaveguideParams, crossing_point, dispersion_D, j_parameters
 from .oracle import field_modal_integral, j_int_quadrature, scalar_kg_exact
 from .saddle import find_complex_saddles, find_real_saddles, phase_difference
 from .special import airy_ai, bessel_j0
@@ -45,6 +45,12 @@ class CriterionResult:
     passed: bool
     measure: str
     seconds: float
+
+    def __post_init__(self):
+        # measures computed with numpy come back as numpy scalars; the
+        # report must stay encodable by json
+        self.passed = bool(self.passed)
+        self.seconds = float(self.seconds)
 
     def line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"

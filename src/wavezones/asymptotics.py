@@ -27,21 +27,17 @@ import math
 
 import numpy as np
 
-from .dispersion import derivatives_at, group_velocity_extrema
 from .errors import DegenerateCurvature, NoConvergence, OutsideWedge, WrongSignCurvature
-from .model import WaveguideParams, amplitude_A, crossing_point
+from .model import WaveguideParams, amplitude_A, crossing_point, j_parameters, modal_weight
 from .saddle import SaddlePoint, find_complex_saddles, find_real_saddles
 from .special import airy_ai, airy_ai_prime, bessel_j0
 
 __all__ = [
     "TermDescriptor",
     "FieldValue",
-    "JParameters",
     "sp_term",
     "airy_term",
     "j_term",
-    "j_parameters",
-    "branch_near_crossing",
     "q_function",
     "assemble_field",
 ]
@@ -75,29 +71,6 @@ class FieldValue:
     used_oracle: bool
 
 
-@dataclasses.dataclass(frozen=True)
-class JParameters:
-    """Stretched coordinates of the exchange pulse at one (t, x)."""
-
-    xi: float        # time stretch of the pulse envelope
-    b: float         # Bessel argument, >= 0 inside the wedge
-    drift: float     # centered time in stretch units
-    scale: float     # loop-integral second parameter
-
-    @property
-    def inside(self) -> bool:
-        return bool(np.isfinite(self.b))
-
-
-def _h_vector(omega, k, params: WaveguideParams):
-    """Modal weight A / d_k D at a point of the dispersion variety."""
-    c1s, c2s = params.c1**2, params.c2**2
-    P = omega**2 - params.omega1**2 - c1s * k**2
-    Q = omega**2 - params.omega2**2 - c2s * k**2
-    Dk = -2.0 * k * (c1s * Q + c2s * P)
-    return amplitude_A(omega, k, params) / Dk
-
-
 def sp_term(sp: SaddlePoint, t: float, x: float, params: WaveguideParams) -> np.ndarray:
     """Stationary-point contribution of one saddle (real or complex).
 
@@ -110,7 +83,7 @@ def sp_term(sp: SaddlePoint, t: float, x: float, params: WaveguideParams) -> np.
         raise ValueError("stationary-point term needs x > 0")
     if abs(sp.alpha) < 1e-12:
         raise DegenerateCurvature(f"curvature {sp.alpha!r} too small for an isolated-saddle form")
-    h = _h_vector(sp.omega_star, sp.k_star, params)
+    h = modal_weight(sp.omega_star, sp.k_star, params)
     root = np.sqrt(_TWO_PI / (-1j * sp.alpha * x))
     phase = np.exp(1j * (sp.k_star * x - sp.omega_star * t))
     return (1j / _TWO_PI) * h * root * phase
@@ -129,8 +102,8 @@ def _pair_calibrated(sp_a: SaddlePoint, sp_b: SaddlePoint, t, x, params) -> np.n
     phi_q = q.k_star.real * x - q.omega_star.real * t
     dphi = phi_q - phi_p
     xi = (0.75 * dphi) ** (2.0 / 3.0)
-    sig_p = _h_vector(p.omega_star, p.k_star, params) * math.sqrt(_TWO_PI / (abs(p.alpha) * x))
-    sig_q = _h_vector(q.omega_star, q.k_star, params) * math.sqrt(_TWO_PI / (abs(q.alpha) * x))
+    sig_p = modal_weight(p.omega_star, p.k_star, params) * math.sqrt(_TWO_PI / (abs(p.alpha) * x))
+    sig_q = modal_weight(q.omega_star, q.k_star, params) * math.sqrt(_TWO_PI / (abs(q.alpha) * x))
     carrier = np.exp(0.5j * (phi_p + phi_q))
     bracket = (sig_p + sig_q) * xi**0.25 * airy_ai(-xi) - 1j * (sig_p - sig_q) * airy_ai_prime(-xi) / xi**0.25
     return (1j / _TWO_PI) * math.sqrt(math.pi) * carrier * bracket
@@ -141,7 +114,7 @@ def _decay_calibrated(sp_c: SaddlePoint, t, x, params) -> np.ndarray:
     g = sp_c.k_star - sp_c.omega_star / sp_c.V
     dphi = 2.0 * x * g.imag
     xi = (0.75 * dphi) ** (2.0 / 3.0)
-    sig = _h_vector(sp_c.omega_star, sp_c.k_star, params) * np.sqrt(_TWO_PI / (-1j * sp_c.alpha * x))
+    sig = modal_weight(sp_c.omega_star, sp_c.k_star, params) * np.sqrt(_TWO_PI / (-1j * sp_c.alpha * x))
     carrier = np.exp(1j * x * g.real)
     bracket = xi**0.25 * airy_ai(xi) - airy_ai_prime(xi) / xi**0.25
     return (1j / _TWO_PI) * math.sqrt(math.pi) * carrier * sig * bracket
@@ -152,7 +125,7 @@ def _local_airy(ext, t, x, params) -> np.ndarray:
     a = ext.cubic_coeff
     V = x / t
     s = math.copysign(1.0, a) * (x * x / abs(a)) ** (1.0 / 3.0) * (1.0 / V - 1.0 / ext.v_e)
-    h = _h_vector(complex(ext.omega_e), complex(ext.k_e), params)
+    h = modal_weight(complex(ext.omega_e), complex(ext.k_e), params)
     carrier = np.exp(1j * (ext.k_e * x - ext.omega_e * t))
     return 1j * h * airy_ai(s) * carrier / (x * abs(a)) ** (1.0 / 3.0)
 
@@ -197,18 +170,6 @@ def airy_term(ext, t: float, x: float, params: WaveguideParams) -> np.ndarray:
 # exchange pulse
 
 
-def j_parameters(t: float, x: float, params: WaveguideParams) -> JParameters:
-    """Stretched coordinates of the exchange pulse; b is NaN outside the wedge."""
-    cp = crossing_point(params)
-    inv_gap = 1.0 / cp.v_slow - 1.0 / cp.v_fast
-    xi = params.c1 * params.c2 * cp.k_c * inv_gap / params.mu if params.mu > 0 else math.inf
-    drift = (t - 0.5 * x * (1.0 / cp.v_fast + 1.0 / cp.v_slow)) / xi if params.mu > 0 else 0.0
-    scale = x * params.mu / (2.0 * params.c1 * params.c2 * cp.k_c)
-    b2 = (t - x / cp.v_fast) * (x / cp.v_slow - t)
-    b = params.mu * math.sqrt(b2) / (params.c1 * params.c2 * cp.k_c * inv_gap) if b2 >= 0.0 else math.nan
-    return JParameters(xi=xi, b=b, drift=drift, scale=scale)
-
-
 def j_term(t: float, x: float, params: WaveguideParams) -> np.ndarray:
     """Exchange-pulse contribution inside the wedge x/v_fast <= t <= x/v_slow.
 
@@ -219,33 +180,12 @@ def j_term(t: float, x: float, params: WaveguideParams) -> np.ndarray:
     if params.mu <= 0.0:
         raise OutsideWedge("no exchange pulse without interlayer coupling")
     jp = j_parameters(t, x, params)
-    if not jp.inside:
-        cp = crossing_point(params)
-        raise OutsideWedge(f"(t={t:.6g}, x={x:.6g}) outside [{x/cp.v_fast:.6g}, {x/cp.v_slow:.6g}]")
     cp = crossing_point(params)
-    c_norm = (params.c1 * params.c2) ** 2 * cp.k_c**2 * (1.0 / cp.v_slow - 1.0 / cp.v_fast)
+    if not jp.inside:
+        raise OutsideWedge(f"(t={t:.6g}, x={x:.6g}) outside [{x/cp.v_fast:.6g}, {x/cp.v_slow:.6g}]")
     amp = amplitude_A(complex(cp.omega_c), complex(cp.k_c), params)
     carrier = np.exp(1j * (cp.k_c * x - cp.omega_c * t))
-    return -amp * carrier * bessel_j0(jp.b) / (4.0 * c_norm)
-
-
-def branch_near_crossing(omega, params: WaveguideParams, sheet: int = +1):
-    """Two-scale expansion of k(omega) near the branch crossing.
-
-    k_c + (mean slowness) w' +/- sqrt((half slowness gap)^2 w'^2
-    + mu^2 / (4 c1^2 c2^2 k_c^2)), w' = omega - omega_c.  sheet=+1 is the
-    upper (slow, branch-1-like) sheet.  Accurate to O(w'^2, mu^2) near the
-    crossing only.
-    """
-    if sheet not in (+1, -1):
-        raise ValueError("sheet must be +1 or -1")
-    cp = crossing_point(params)
-    wp = np.asarray(omega, dtype=complex) - cp.omega_c
-    mean = 0.5 * (1.0 / cp.v_fast + 1.0 / cp.v_slow)
-    half_gap = 0.5 * (1.0 / cp.v_slow - 1.0 / cp.v_fast)
-    root = np.sqrt(half_gap**2 * wp**2 + params.mu**2 / (4.0 * (params.c1 * params.c2 * cp.k_c) ** 2))
-    out = cp.k_c + mean * wp + sheet * root
-    return out if out.ndim else complex(out)
+    return -amp * carrier * bessel_j0(jp.b) / (4.0 * jp.c_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +227,11 @@ def _gl_path(f, a: complex, b: complex, n_panels: int) -> complex:
     return total
 
 
-def q_function(beta: float, z: float, rel_tol: float = 1e-9, max_doublings: int = 8) -> complex:
+#: panel doublings q_function attempts before reporting NoConvergence
+_Q_DOUBLINGS = 8
+
+
+def q_function(beta: float, z: float, rel_tol: float = 1e-9) -> complex:
     """The contour special function int_Gamma (1+tau^2)^{-1/2} e^{i(beta tau^2 + z tau + sqrt(1+tau^2))} dtau.
 
     beta = 0 uses the closed loop around the cut [-i, i]; beta > 0 uses an
@@ -326,7 +270,7 @@ def q_function(beta: float, z: float, rel_tol: float = 1e-9, max_doublings: int 
     prev = whole(1)
     mult = 2
     diff = math.inf
-    for _ in range(max_doublings):
+    for _ in range(_Q_DOUBLINGS):
         cur = whole(mult)
         diff = abs(cur - prev)
         if diff <= max(rel_tol * abs(cur), 1e-13):

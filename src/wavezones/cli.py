@@ -61,10 +61,11 @@ def _config_echo(args: argparse.Namespace, params: WaveguideParams) -> list[str]
 
 
 def _emit(args: argparse.Namespace, header: list[str], rows: list[str] | None,
-          json_obj=None, svg_text: str | None = None) -> None:
+          json_obj=None, render_svg=None) -> None:
+    """Write the requested format; the SVG is only rendered when asked for."""
     fmt = args.format
     if fmt == "svg":
-        text = svg_text if svg_text is not None else ""
+        text = render_svg() if render_svg is not None else ""
     elif fmt == "json":
         text = json.dumps(json_obj, indent=2, sort_keys=True) + "\n"
     else:
@@ -94,7 +95,7 @@ def cmd_dispersion(args: argparse.Namespace, params: WaveguideParams) -> int:
         ],
     }
     _emit(args, header, ["omega,k1,k2,vg1,vg2\n"] + rows, json_obj,
-          svg_dispersion(table, header[0]))
+          lambda: svg_dispersion(table, header[0]))
     return 0
 
 
@@ -133,7 +134,7 @@ def cmd_zones(args: argparse.Namespace, params: WaveguideParams) -> int:
         "labels": diag.labels,
         "monotone": diag.monotone,
     }
-    _emit(args, header, rows, json_obj, svg_zones(diag, header[0]))
+    _emit(args, header, rows, json_obj, lambda: svg_zones(diag, header[0]))
     return 0
 
 

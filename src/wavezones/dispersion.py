@@ -31,17 +31,11 @@ import math
 
 import numpy as np
 
-from .errors import (
-    BranchPointProximity,
-    BranchTrackingFailure,
-    ExtremumNotFound,
-    OverstrongCoupling,
-)
-from .model import WaveguideParams, crossing_point
+from .errors import BranchPointProximity, ExtremumNotFound, OverstrongCoupling
+from .model import WaveguideParams, crossing_point, symbol_dk, symbol_dw, symbol_pq, symbol_second
 
 __all__ = [
     "k_squared_roots",
-    "roots_k",
     "branch_k",
     "group_velocity",
     "derivatives_at",
@@ -50,7 +44,6 @@ __all__ = [
     "exchange_branch_points",
     "GroupVelocityExtremum",
     "group_velocity_extrema",
-    "BranchFunction",
     "sample_diagram",
     "bisect_root",
 ]
@@ -82,19 +75,6 @@ def k_squared_roots(omega, params: WaveguideParams):
     lo = np.where(np.real(r_near) <= np.real(r_far), r_near, r_far)
     hi = np.where(np.real(r_near) <= np.real(r_far), r_far, r_near)
     return lo, hi
-
-
-def roots_k(omega, params: WaveguideParams):
-    """All four k-roots of D(omega, .) = 0, grouped as (+k1, -k1, +k2, -k2).
-
-    +k_j is the principal square root of the j-th k^2 root (nonnegative real
-    part; nonnegative imaginary part on the negative real cut), so branch 1
-    leads the group.
-    """
-    lo, hi = k_squared_roots(omega, params)
-    k1 = np.sqrt(lo)
-    k2 = np.sqrt(hi)
-    return np.stack(np.broadcast_arrays(k1, -k1, k2, -k2))
 
 
 def branch_k(branch: int, omega, params: WaveguideParams):
@@ -144,19 +124,15 @@ def derivatives_at(omega, k, params: WaveguideParams) -> DispersionDerivatives:
     (branch point or cutoff) and the implicit derivatives blow up.
     """
     c1s, c2s = params.c1**2, params.c2**2
-    P = omega**2 - params.omega1**2 - c1s * k**2
-    Q = omega**2 - params.omega2**2 - c2s * k**2
+    P, Q = symbol_pq(omega, k, params)
     D = P * Q - params.mu**2
-    A4 = c1s * c2s
-    Dk = -2.0 * k * (c1s * Q + c2s * P)
-    Dw = 2.0 * omega * (P + Q)
-    Dkk = -2.0 * (c1s * Q + c2s * P) + 8.0 * A4 * k**2
-    Dww = 2.0 * (P + Q) + 8.0 * omega**2
-    Dwk = -4.0 * omega * k * (c1s + c2s)
+    Dk = symbol_dk(k, P, Q, params)
+    Dw = symbol_dw(omega, P, Q)
+    Dkk, Dww, Dwk = symbol_second(omega, k, P, Q, params)
     Dwww = 24.0 * omega
     Dwwk = -4.0 * k * (c1s + c2s)
     Dwkk = -4.0 * omega * (c1s + c2s)
-    Dkkk = 24.0 * A4 * k
+    Dkkk = 24.0 * (c1s * c2s) * k
     scalar = np.ndim(omega) == 0 and np.ndim(k) == 0
     if scalar and abs(Dk) == 0.0:
         raise BranchPointProximity(f"d_k D vanishes at omega={omega}, k={k}")
@@ -280,7 +256,6 @@ def _kpp_on_branch(branch: int, omega, params: WaveguideParams):
 
 
 @functools.lru_cache(maxsize=128)
-@functools.lru_cache(maxsize=64)
 def group_velocity_extrema(params: WaveguideParams):
     """Locate all group-velocity extrema of both branches near the crossing.
 
@@ -322,69 +297,6 @@ def group_velocity_extrema(params: WaveguideParams):
         )
     found.sort(key=lambda e: e.omega_e)
     return tuple(found)
-
-
-# ---------------------------------------------------------------------------
-# branch continuation off the real axis
-
-
-class BranchFunction:
-    """Track one k^2 root of D along a path of complex omega.
-
-    The real-axis labels extend off-axis by continuity, not by any global
-    ordering; this helper follows the nearest root step by step, halving the
-    step whenever the two roots get close enough to make "nearest" ambiguous.
-
-    :param branch: real-axis label (1 or 2) used to seed the anchor.
-    :param params: waveguide constants.
-    :param anchor_omega: real frequency above the upper cutoff at which the
-        label is taken from the k^2 ordering; default 2 * omega_c.
-    """
-
-    #: relative closeness of the competing root that triggers step halving
-    AMBIGUITY = 0.35
-    #: total step-halvings allowed per call
-    MAX_DEPTH = 512
-
-    def __init__(self, branch: int, params: WaveguideParams, anchor_omega: float | None = None):
-        if anchor_omega is None:
-            anchor_omega = 2.0 * crossing_point(params).omega_c
-        self.branch = branch
-        self.params = params
-        self._omega = complex(anchor_omega)
-        lo, hi = k_squared_roots(self._omega, params)
-        self._k2 = complex(lo if branch == 1 else hi)
-
-    def __call__(self, omega: complex) -> complex:
-        """k at omega on the tracked branch (principal sqrt of the k^2 root)."""
-        target = complex(omega)
-        k2 = self._k2
-        stack = [(self._omega, target)]
-        halvings = 0
-        while stack:
-            a, b = stack.pop()
-            lo, hi = k_squared_roots(b, self.params)
-            cand = (complex(lo), complex(hi))
-            d0 = abs(cand[0] - k2)
-            d1 = abs(cand[1] - k2)
-            if d0 <= d1:
-                sel, d_sel, d_other = cand[0], d0, d1
-            else:
-                sel, d_sel, d_other = cand[1], d1, d0
-            # ambiguous when the step lands nearly midway between the roots
-            if d_sel > self.AMBIGUITY * d_other:
-                halvings += 1
-                if halvings > self.MAX_DEPTH or abs(b - a) < 1e-14 * (1.0 + abs(b)):
-                    raise BranchTrackingFailure(
-                        f"cannot disambiguate roots near omega={b:.6g} (tracked from {a:.6g})"
-                    )
-                mid = 0.5 * (a + b)
-                stack.append((mid, b))
-                stack.append((a, mid))
-                continue
-            k2 = sel
-        self._omega, self._k2 = target, k2
-        return np.sqrt(complex(k2))
 
 
 def sample_diagram(params: WaveguideParams, omega_min: float, omega_max: float, num: int):

@@ -53,10 +53,6 @@ class BranchPointProximity(WavezonesError):
     """Evaluation point too close to a branch point of k(omega)."""
 
 
-class BranchTrackingFailure(WavezonesError):
-    """Root continuation could not keep the branch labels consistent."""
-
-
 class NoConvergence(WavezonesError):
     """Iteration or quadrature refinement stopped above tolerance.
 

@@ -13,8 +13,9 @@ symbol has determinant
     Q = omega^2 - omega2^2 - c2^2 k^2,
 
 and the transformed field is adj(symbol) @ f / D.  Everything downstream
-(branch roots, saddle points, zone classification) is built on D and on the
-numerator vector returned by :func:`amplitude_A`.
+(branch roots, saddle points, zone classification, the asymptotic terms and
+the quadrature oracle) is built on the symbol helpers below: they are the
+only place P, Q, the partials of D and the numerator are written out.
 
 Conventions: layer 1 is the fast layer (c1 > c2) and layer 2 carries the
 higher cutoff (omega2 >= omega1), so the uncoupled dispersion curves cross at
@@ -45,10 +46,17 @@ __all__ = [
     "DEFAULT_PARAMS",
     "validate",
     "load_params",
+    "symbol_pq",
+    "symbol_dk",
+    "symbol_dw",
+    "symbol_second",
+    "symbol_numerator",
     "dispersion_D",
     "amplitude_A",
+    "modal_weight",
     "crossing_point",
-    "exchange_pulse_argument",
+    "JParameters",
+    "j_parameters",
 ]
 
 
@@ -153,7 +161,41 @@ def load_params(source) -> WaveguideParams:
 
 
 # ---------------------------------------------------------------------------
-# dispersion function and source numerator
+# the matrix symbol: its entries and partial derivatives, written out once
+
+
+def symbol_pq(omega, k, params: WaveguideParams):
+    """Diagonal entries (P, Q) of the matrix symbol; D = P Q - mu^2.
+
+    Accepts scalars or broadcastable arrays, real or complex.
+    """
+    w2 = omega**2
+    k2 = k**2
+    return w2 - params.omega1**2 - params.c1**2 * k2, w2 - params.omega2**2 - params.c2**2 * k2
+
+
+def symbol_dk(k, P, Q, params: WaveguideParams):
+    """d_k D = -2 k (c1^2 Q + c2^2 P), from the entries at (omega, k)."""
+    return -2.0 * k * (params.c1**2 * Q + params.c2**2 * P)
+
+
+def symbol_dw(omega, P, Q):
+    """d_omega D = 2 omega (P + Q), from the entries at (omega, k)."""
+    return 2.0 * omega * (P + Q)
+
+
+def symbol_second(omega, k, P, Q, params: WaveguideParams):
+    """Second partials (D_kk, D_ww, D_wk) of D, from the entries at (omega, k)."""
+    c1s, c2s = params.c1**2, params.c2**2
+    Dkk = -2.0 * (c1s * Q + c2s * P) + 8.0 * (c1s * c2s) * k**2
+    Dww = 2.0 * (P + Q) + 8.0 * omega**2
+    Dwk = -4.0 * omega * k * (c1s + c2s)
+    return Dkk, Dww, Dwk
+
+
+def symbol_numerator(P, Q, params: WaveguideParams):
+    """Components of adj(symbol) @ f: (Q f1 - mu f2, P f2 - mu f1)."""
+    return Q * params.f1 - params.mu * params.f2, P * params.f2 - params.mu * params.f1
 
 
 def dispersion_D(omega, k, params: WaveguideParams):
@@ -161,8 +203,7 @@ def dispersion_D(omega, k, params: WaveguideParams):
 
     Accepts scalars or broadcastable arrays, real or complex.
     """
-    P = omega**2 - params.omega1**2 - (params.c1 * k) ** 2
-    Q = omega**2 - params.omega2**2 - (params.c2 * k) ** 2
+    P, Q = symbol_pq(omega, k, params)
     return P * Q - params.mu**2
 
 
@@ -173,11 +214,20 @@ def amplitude_A(omega, k, params: WaveguideParams) -> np.ndarray:
     (f1, f2) = (1, 0) this is (Q, -mu).  Returns an array whose leading axis
     has length 2; scalar omega, k give shape (2,).
     """
-    P = omega**2 - params.omega1**2 - (params.c1 * k) ** 2
-    Q = omega**2 - params.omega2**2 - (params.c2 * k) ** 2
-    a1 = Q * params.f1 - params.mu * params.f2
-    a2 = P * params.f2 - params.mu * params.f1
-    return np.stack(np.broadcast_arrays(a1, a2))
+    P, Q = symbol_pq(omega, k, params)
+    return np.stack(np.broadcast_arrays(*symbol_numerator(P, Q, params)))
+
+
+def modal_weight(omega, k, params: WaveguideParams) -> np.ndarray:
+    """Residue weight A / d_k D of the transformed field at a root of D.
+
+    Same shape convention as :func:`amplitude_A`.  The division is done in
+    place, so array calls (the oracle's sample blocks) make no extra copy.
+    """
+    P, Q = symbol_pq(omega, k, params)
+    h = np.stack(np.broadcast_arrays(*symbol_numerator(P, Q, params)))
+    h /= symbol_dk(k, P, Q, params)
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -221,18 +271,41 @@ def crossing_point(params: WaveguideParams) -> CrossingPoint:
     )
 
 
-def exchange_pulse_argument(t, x, params: WaveguideParams):
-    """Bessel argument b(t, x) of the energy-exchange pulse.
+# ---------------------------------------------------------------------------
+# the exchange pulse
 
-    b = mu * sqrt((t - x/v_fast) * (x/v_slow - t)) / (c1 c2 k_c (1/v_slow - 1/v_fast))
 
-    Real and >= 0 inside the wedge x/v_fast <= t <= x/v_slow; returns NaN
-    outside it.  Vanishes identically when mu = 0 (no exchange).
+@dataclasses.dataclass(frozen=True)
+class JParameters:
+    """Stretched coordinates of the exchange pulse at one (t, x)."""
+
+    xi: float        # time stretch of the pulse envelope
+    b: float         # Bessel argument, >= 0 inside the wedge, NaN outside
+    drift: float     # centered time in stretch units
+    scale: float     # loop-integral second parameter
+    c_norm: float    # pulse normalisation c1^2 c2^2 k_c^2 (1/v_slow - 1/v_fast)
+
+    @property
+    def inside(self) -> bool:
+        return bool(np.isfinite(self.b))
+
+
+def j_parameters(t: float, x: float, params: WaveguideParams) -> JParameters:
+    """Exchange-pulse coordinates at (t, x).
+
+    b = mu sqrt((t - x/v_fast)(x/v_slow - t)) / (c1 c2 k_c (1/v_slow - 1/v_fast))
+    is real and >= 0 inside the wedge x/v_fast <= t <= x/v_slow and NaN
+    outside it; it vanishes identically when mu = 0 (no exchange).
     """
     cp = crossing_point(params)
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    prod = (t - x / cp.v_fast) * (x / cp.v_slow - t)
-    denom = params.c1 * params.c2 * cp.k_c * (1.0 / cp.v_slow - 1.0 / cp.v_fast)
-    b = params.mu * np.sqrt(np.where(prod >= 0.0, prod, np.nan)) / denom
-    return b if b.ndim else float(b)
+    inv_gap = 1.0 / cp.v_slow - 1.0 / cp.v_fast
+    ck = params.c1 * params.c2 * cp.k_c
+    xi = ck * inv_gap / params.mu if params.mu > 0 else math.inf
+    drift = (t - 0.5 * x * (1.0 / cp.v_fast + 1.0 / cp.v_slow)) / xi if params.mu > 0 else 0.0
+    scale = x * params.mu / (2.0 * ck)
+    if x / cp.v_fast <= t <= x / cp.v_slow:
+        b = params.mu * math.sqrt((t - x / cp.v_fast) * (x / cp.v_slow - t)) / (ck * inv_gap)
+    else:
+        b = math.nan
+    c_norm = (params.c1 * params.c2) ** 2 * cp.k_c**2 * inv_gap
+    return JParameters(xi=xi, b=b, drift=drift, scale=scale, c_norm=c_norm)

@@ -30,7 +30,16 @@ import numpy as np
 
 from .dispersion import k_squared_roots
 from .errors import NoConvergence, OutsideFarZone, OutsideWedge
-from .model import WaveguideParams, crossing_point
+from .model import (
+    WaveguideParams,
+    crossing_point,
+    j_parameters,
+    modal_weight,
+    symbol_dk,
+    symbol_dw,
+    symbol_numerator,
+    symbol_pq,
+)
 from .special import bessel_j0
 
 __all__ = [
@@ -83,18 +92,11 @@ def _sqrt_upper(r):
 
 def _modal_sum(omega, x, params: WaveguideParams):
     """sum over the two Im k > 0 roots of A / d_k D * e^{i k x}, shape (2, n)."""
-    lo, hi = k_squared_roots(omega, params)
-    c1s, c2s = params.c1**2, params.c2**2
     out = None
-    for r in (lo, hi):
+    for r in k_squared_roots(omega, params):
         k = _sqrt_upper(r)
-        P = omega**2 - params.omega1**2 - c1s * k**2
-        Q = omega**2 - params.omega2**2 - c2s * k**2
-        Dk = -2.0 * k * (c1s * Q + c2s * P)
-        phase = np.exp(1j * k * x)
-        a1 = (Q * params.f1 - params.mu * params.f2) / Dk * phase
-        a2 = (P * params.f2 - params.mu * params.f1) / Dk * phase
-        term = np.stack([a1, a2])
+        term = modal_weight(omega, k, params)
+        term *= np.exp(1j * k * x)
         out = term if out is None else out + term
     return out
 
@@ -107,19 +109,15 @@ def _tail_correction(w_end, t, x, params: WaveguideParams):
     nearly stationary at the truncation point are skipped (the correction
     would be invalid there; refinement reporting covers that case).
     """
-    lo, hi = k_squared_roots(w_end, params)
-    c1s, c2s = params.c1**2, params.c2**2
     tail = np.zeros(2, dtype=complex)
-    for r in (lo, hi):
+    for r in k_squared_roots(w_end, params):
         k = complex(_sqrt_upper(r))
-        P = w_end**2 - params.omega1**2 - c1s * k**2
-        Q = w_end**2 - params.omega2**2 - c2s * k**2
-        Dk = -2.0 * k * (c1s * Q + c2s * P)
-        Dw = 2.0 * w_end * (P + Q)
-        rate = (-Dw / Dk) * x - t
+        P, Q = symbol_pq(w_end, k, params)
+        Dk = symbol_dk(k, P, Q, params)
+        rate = (-symbol_dw(w_end, P, Q) / Dk) * x - t
         if abs(rate) < 0.1:
             continue
-        f = np.array([Q * params.f1 - params.mu * params.f2, P * params.f2 - params.mu * params.f1], dtype=complex)
+        f = np.array(symbol_numerator(P, Q, params), dtype=complex)
         tail += 1j * f / Dk * np.exp(1j * (k * x - w_end * t)) / rate
     return tail
 
@@ -221,46 +219,40 @@ def scalar_kg_far(t: float, x: float, c: float, Omega: float, S: float = 3.0) ->
 # exchange pulse by direct loop quadrature
 
 
-def j_int_quadrature(t: float, x: float, params: WaveguideParams, controls: QuadratureControls | None = None):
+def j_int_quadrature(t: float, x: float, params: WaveguideParams):
     """Exchange-pulse contribution by quadrature of its loop integral.
 
     The closed-form term (Bessel J0) must agree with this to high accuracy;
     the loop is parametrized as tau = i sin(theta), where the integrand
-    becomes i exp(P sin(theta) + i Q cos(theta)) and the periodic trapezoid
-    converges geometrically.  Accuracy degrades once |P| is large enough
-    that e^{|P|} swamps double precision; keep |P| moderate (< ~20).
-    Only controls.tol and controls.max_refinement are consulted here; the
-    trapezoid starts at 64 nodes, so the refinement depth is floored at 10.
+    becomes i exp(drift sin(theta) + i scale cos(theta)) in the pulse
+    coordinates of :func:`j_parameters`, and the periodic trapezoid converges
+    geometrically from 64 up to 64 * 2^10 nodes.  Accuracy degrades once
+    |drift| is large enough that e^{|drift|} swamps double precision; keep it
+    moderate (< ~20).
     """
-    rel_tol = 1e-10 if controls is None else controls.tol
-    n_max = 64 << (10 if controls is None else max(10, controls.max_refinement))
+    jp = j_parameters(t, x, params)
     cp = crossing_point(params)
-    if not (x / cp.v_fast <= t <= x / cp.v_slow):
+    if not jp.inside:
         raise OutsideWedge(f"(t={t:.6g}, x={x:.6g}) outside [{x/cp.v_fast:.6g}, {x/cp.v_slow:.6g}]")
-    mu = params.mu
-    if mu == 0.0:
+    if params.mu == 0.0:
         return np.zeros(2, dtype=complex)
-    xi = params.c1 * params.c2 * cp.k_c * (1.0 / cp.v_slow - 1.0 / cp.v_fast) / mu
-    P = (t - 0.5 * x * (1.0 / cp.v_fast + 1.0 / cp.v_slow)) / xi
-    Qc = x * mu / (2.0 * params.c1 * params.c2 * cp.k_c)
-    amp = np.array([-mu * params.f2, -mu * params.f1], dtype=complex)
-    c_norm = (params.c1 * params.c2) ** 2 * cp.k_c**2 * (1.0 / cp.v_slow - 1.0 / cp.v_fast)
-    pref = 1j * amp * np.exp(1j * (cp.k_c * x - cp.omega_c * t)) / (8.0 * math.pi * c_norm)
+    amp = np.array(symbol_numerator(0.0, 0.0, params), dtype=complex)  # P = Q = 0 at the crossing
+    pref = 1j * amp * np.exp(1j * (cp.k_c * x - cp.omega_c * t)) / (8.0 * math.pi * jp.c_norm)
 
     def loop(n):
         theta = 2.0 * math.pi * np.arange(n) / n
-        f = np.exp(P * np.sin(theta) + 1j * Qc * np.cos(theta))
+        f = np.exp(jp.drift * np.sin(theta) + 1j * jp.scale * np.cos(theta))
         return 1j * (2.0 * math.pi / n) * np.sum(f)
 
     n = 64
     prev = loop(n)
-    while n < n_max:
+    while n < 64 << 10:
         n *= 2
         cur = loop(n)
-        if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
+        if abs(cur - prev) <= 1e-10 * max(abs(cur), 1e-300):
             return pref * cur
         prev = cur
     raise NoConvergence(
-        f"exchange-pulse loop quadrature not converged (|P|={abs(P):.3g})",
+        f"exchange-pulse loop quadrature not converged (|drift|={abs(jp.drift):.3g})",
         achieved=abs(cur - prev) / max(abs(cur), 1e-300),
     )

@@ -27,25 +27,18 @@ import math
 import numpy as np
 
 from . import dispersion
-from .errors import (
-    BranchTrackingFailure,
-    DegenerateCurvature,
-    ExtremumNotFound,
-    NoConvergence,
-)
-from .model import WaveguideParams, crossing_point, exchange_pulse_argument
+from .errors import ExtremumNotFound, NoConvergence
+from .model import WaveguideParams, crossing_point, symbol_dk, symbol_dw, symbol_pq, symbol_second
 
 __all__ = [
     "SaddlePoint",
-    "phase_g",
     "find_real_saddles",
     "find_complex_saddles",
-    "crossing_partner_index",
     "phase_difference",
-    "airy_merge_phase",
-    "doi_interval",
-    "neighbors_overlap",
 ]
+
+#: group-velocity samples per branch in the real-saddle scan
+_N_GRID = 4001
 
 
 @dataclasses.dataclass(frozen=True)
@@ -75,11 +68,6 @@ class SaddlePoint:
     passed_by_contour: bool
     V: float
     params: WaveguideParams
-
-
-def phase_g(branch: int, omega, V: float, params: WaveguideParams):
-    """Modal phase density g(omega) = k(omega) - omega/V on a branch."""
-    return dispersion.branch_k(branch, omega, params) - np.asarray(omega) / V
 
 
 def _branch_bounds(branch: int, V: float, params: WaveguideParams):
@@ -122,8 +110,7 @@ def _solve_vg(branch: int, V: float, lo: float, hi: float, params: WaveguidePara
 
 
 @functools.lru_cache(maxsize=4096)
-@functools.lru_cache(maxsize=512)
-def find_real_saddles(V: float, params: WaveguideParams, n_grid: int = 4001):
+def find_real_saddles(V: float, params: WaveguideParams):
     """All real stationary points at observer speed V, sorted by family index.
 
     Empty for V >= c1.  The grid scan brackets sign changes of v_g - V; near
@@ -141,7 +128,7 @@ def find_real_saddles(V: float, params: WaveguideParams, n_grid: int = 4001):
     for branch in (1, 2):
         c_b = params.c1 if branch == 1 else params.c2
         lo, hi = _branch_bounds(branch, V, params)
-        grid = np.linspace(lo, hi, n_grid)
+        grid = np.linspace(lo, hi, _N_GRID)
         k = np.atleast_1d(dispersion.branch_k(branch, grid, params))
         d = dispersion.derivatives_at(grid.astype(complex), k, params)
         f = np.real(d.vg) - V
@@ -150,7 +137,7 @@ def find_real_saddles(V: float, params: WaveguideParams, n_grid: int = 4001):
         idx = np.nonzero(good[:-1] & good[1:] & (f[:-1] * f[1:] < 0.0))[0]
         for i in idx:
             roots.append(_solve_vg(branch, V, float(grid[i]), float(grid[i + 1]), params))
-        spacing = (hi - lo) / (n_grid - 1)
+        spacing = (hi - lo) / (_N_GRID - 1)
         for e in (e for e in extrema if e.branch == branch):
             qty = (1.0 / e.v_e - 1.0 / V) / e.cubic_coeff
             # real pair hugging the extremum; rescue when the grid cannot split it
@@ -209,7 +196,6 @@ def _polish_real(branch: int, V: float, seed: float, params: WaveguideParams):
 
 
 @functools.lru_cache(maxsize=4096)
-@functools.lru_cache(maxsize=512)
 def find_complex_saddles(V: float, params: WaveguideParams):
     """Exponentially decaying complex saddles born at the extremum merges.
 
@@ -286,20 +272,16 @@ def _continue_complex(e, V: float, sign: float, params: WaveguideParams):
 
 def _newton_system(w: complex, k: complex, inv_v: float, params: WaveguideParams):
     """Damped 2x2 Newton on F = (D, D_w + D_k * inv_v); (omega, k) or None."""
-    c1s, c2s = params.c1**2, params.c2**2
     for _ in range(120):
-        P = w**2 - params.omega1**2 - c1s * k**2
-        Q = w**2 - params.omega2**2 - c2s * k**2
+        P, Q = symbol_pq(w, k, params)
         F1 = P * Q - params.mu**2
-        Dk = -2.0 * k * (c1s * Q + c2s * P)
-        Dw = 2.0 * w * (P + Q)
+        Dk = symbol_dk(k, P, Q, params)
+        Dw = symbol_dw(w, P, Q)
         F2 = Dw + Dk * inv_v
         scale = 1.0 + abs(P) + abs(Q)
         if abs(F1) < 1e-10 * scale**2 and abs(F2) < 1e-10 * scale:
             return w, k
-        Dkk = -2.0 * (c1s * Q + c2s * P) + 8.0 * c1s * c2s * k**2
-        Dww = 2.0 * (P + Q) + 8.0 * w**2
-        Dwk = -4.0 * w * k * (c1s + c2s)
+        Dkk, Dww, Dwk = symbol_second(w, k, P, Q, params)
         j11, j12 = Dw, Dk
         j21, j22 = Dww + Dwk * inv_v, Dwk + Dkk * inv_v
         det = j11 * j22 - j12 * j21
@@ -318,28 +300,8 @@ def _newton_system(w: complex, k: complex, inv_v: float, params: WaveguideParams
     return None
 
 
-def crossing_partner_index(V: float, params: WaveguideParams) -> int:
-    """Family index of the saddle playing the slow-branch role at the crossing.
-
-    The exchange pulse couples the branch-1 saddle to the middle branch-2
-    family: index 3 while that pair is real, otherwise its complex
-    continuation (5 above the velocity maximum, 6 below the minimum).
-    """
-    try:
-        extrema = dispersion.group_velocity_extrema(params)
-    except ExtremumNotFound:
-        return 2
-    vmax = [e for e in extrema if e.kind == "max"]
-    vmin = [e for e in extrema if e.kind == "min"]
-    if vmax and V > vmax[0].v_e:
-        return 5
-    if vmin and V < vmin[0].v_e:
-        return 6
-    return 3
-
-
 # ---------------------------------------------------------------------------
-# overlap metrics
+# phase separation
 
 
 def phase_difference(sp_m: SaddlePoint, sp_n: SaddlePoint, t: float, x: float) -> float:
@@ -347,50 +309,3 @@ def phase_difference(sp_m: SaddlePoint, sp_n: SaddlePoint, t: float, x: float) -
     pm = sp_m.k_star * x - sp_m.omega_star * t
     pn = sp_n.k_star * x - sp_n.omega_star * t
     return abs(pm.real - pn.real)
-
-
-def airy_merge_phase(sp_or_pair, t: float, x: float) -> float:
-    """Merge metric that an Airy transition compares against S.
-
-    For a real straddling pair this is their phase difference; for a complex
-    saddle it is 2 x Im g, the decay exponent doubled, which matches the
-    real-side metric across the transition.
-    """
-    if isinstance(sp_or_pair, SaddlePoint):
-        return 2.0 * x * sp_or_pair.g.imag
-    a, b = sp_or_pair
-    return phase_difference(a, b, t, x)
-
-
-def doi_interval(sp: SaddlePoint, x: float, S: float = 3.0):
-    """Frequency half-width where the saddle's quadratic phase stays under S.
-
-    Returns (omega_lo, omega_hi) = Re omega_star -/+ sqrt(2 S / (x |alpha|)).
-    """
-    if x <= 0.0:
-        raise ValueError("doi_interval needs x > 0")
-    if abs(sp.alpha) < 1e-12:
-        raise DegenerateCurvature(
-            f"|k''| = {abs(sp.alpha):.3e} too small at omega_star = {sp.omega_star:.6g}"
-        )
-    half = math.sqrt(2.0 * S / (x * abs(sp.alpha)))
-    w0 = sp.omega_star.real
-    return w0 - half, w0 + half
-
-
-def neighbors_overlap(sp_m: SaddlePoint, sp_n: SaddlePoint, t: float, x: float, S: float = 3.0) -> bool:
-    """Whether two saddles interfere rather than stand alone at (t, x).
-
-    The branch-1 saddle and its crossing partner (families {1,3}, {1,5},
-    {1,6}) are compared through the exchange-pulse argument b < S; every
-    other pair through the plain phase difference < S.  Callers are expected
-    to ask about neighboring families only.
-    """
-    pair = {sp_m.index, sp_n.index}
-    if 1 in pair and pair & {3, 5, 6}:
-        params = sp_m.params
-        cp = crossing_point(params)
-        if not (x / cp.v_fast < t < x / cp.v_slow) or params.mu == 0.0:
-            return False
-        return float(exchange_pulse_argument(t, x, params)) < S
-    return phase_difference(sp_m, sp_n, t, x) < S

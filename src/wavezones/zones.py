@@ -26,10 +26,10 @@ import math
 
 import numpy as np
 
-from .asymptotics import TermDescriptor, j_parameters
+from .asymptotics import TermDescriptor
 from .dispersion import group_velocity_extrema
 from .errors import ExtremumNotFound, UnknownLabel
-from .model import WaveguideParams, crossing_point
+from .model import WaveguideParams, crossing_point, j_parameters
 from .saddle import find_complex_saddles, find_real_saddles, phase_difference
 
 __all__ = [

@@ -14,13 +14,12 @@ import pytest
 from wavezones.asymptotics import (
     airy_term,
     assemble_field,
-    j_parameters,
     j_term,
     q_function,
     sp_term,
 )
 from wavezones.dispersion import group_velocity_extrema
-from wavezones.model import DEFAULT_PARAMS
+from wavezones.model import DEFAULT_PARAMS, j_parameters
 from wavezones.oracle import field_modal_integral, j_int_quadrature
 from wavezones.saddle import find_real_saddles
 from wavezones.special import bessel_j0

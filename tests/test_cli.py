@@ -10,6 +10,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from wavezones import acceptance, cli
 from wavezones.cli import main
 
 KNOWN_LABELS = {"zero", "B", "Q", "J", "Ai", "SP", "SPe"}
@@ -66,6 +67,37 @@ def test_zones_svg_parses(tmp_path):
     assert "<rect" in doc
     # the config echo survives as a comment
     assert "wavezones zones" in doc
+
+
+def test_csv_output_renders_no_svg(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("SVG rendered for csv output")
+
+    monkeypatch.setattr(cli, "svg_zones", refuse)
+    monkeypatch.setattr(cli, "svg_dispersion", refuse)
+    assert main(["zones", "--grid", "6x4", "--t-max", "60", "--out", str(tmp_path / "z.csv")]) == 0
+    assert main(["dispersion", "--grid", "6x4", "--out", str(tmp_path / "d.csv")]) == 0
+    assert main(["zones", "--grid", "6x4", "--t-max", "60", "--format", "json",
+                 "--out", str(tmp_path / "z.json")]) == 0
+
+
+def test_compare_report_is_json(tmp_path, monkeypatch):
+    # the oracle-heavy criteria are stubbed; the rest, c09 included, run for
+    # real so their results go through the JSON encoder
+    for ident in ("01", "03", "06", "12"):
+        stub = acceptance.CriterionResult(f"c{ident}", "stub", True, "stubbed", 0.0)
+        monkeypatch.setattr(acceptance, f"criterion_{ident}", lambda params, stub=stub: stub)
+    out = tmp_path / "c.json"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["compare", "--out", str(out)])
+    assert rc == 0, err.getvalue()
+    doc = json.loads(_read(out))
+    assert doc["total"] == 12 and doc["passed"] == 12
+    assert [c["id"] for c in doc["criteria"]] == [f"c{i:02d}" for i in range(1, 13)]
+    c09 = next(c for c in doc["criteria"] if c["id"] == "c09")
+    assert c09["passed"] is True
+    assert "branch points" in c09["measure"]
 
 
 def test_dispersion_svg_parses(tmp_path):

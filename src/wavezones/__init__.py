@@ -37,7 +37,6 @@ from .model import (
     validate,
 )
 from .oracle import (
-    QuadratureControls,
     field_modal_integral,
     j_int_quadrature,
     scalar_kg_exact,
@@ -68,7 +67,6 @@ __all__ = [
     "FieldValue",
     "GroupVelocityExtremum",
     "NoConvergence",
-    "QuadratureControls",
     "SaddlePoint",
     "ScalarZoneLabel",
     "TermDescriptor",

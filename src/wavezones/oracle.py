@@ -23,7 +23,6 @@ quadrature of the exchange-pulse integral, used as oracles in the tests.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -43,7 +42,6 @@ from .model import (
 from .special import bessel_j0
 
 __all__ = [
-    "QuadratureControls",
     "field_modal_integral",
     "scalar_kg_exact",
     "scalar_kg_far",
@@ -51,28 +49,14 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass
-class QuadratureControls:
-    """Tuning knobs of the modal quadrature.
-
-    :param epsilon: contour height Im w; None picks the (t, x)-adaptive rule.
-    :param omega_max: truncation frequency; None gives 50 * omega_c.
-    :param points_per_unit: base sample density on the outer panel; None
-        scales with the phase rate x/c2 + t.  The cutoff panel [0, w_split]
-        is always sampled 4x denser.
-    :param max_refinement: density doublings attempted before giving up.
-    :param tol: relative Richardson target.
-    :param abs_floor: absolute convergence floor (silent-zone values).
-    :param chunk: maximum samples evaluated at once (memory bound).
-    """
-
-    epsilon: float | None = None
-    omega_max: float | None = None
-    points_per_unit: float | None = None
-    max_refinement: int = 3
-    tol: float = 3e-4
-    abs_floor: float = 1e-8
-    chunk: int = 400_000
+#: density doublings attempted before giving up
+_MAX_REFINEMENT = 3
+#: relative Richardson target
+_TOL = 3e-4
+#: absolute convergence floor (silent-zone values)
+_ABS_FLOOR = 1e-8
+#: maximum samples evaluated at once (memory bound)
+_CHUNK = 400_000
 
 
 def _auto_epsilon(t: float, x: float, c1: float) -> float:
@@ -122,12 +106,12 @@ def _tail_correction(w_end, t, x, params: WaveguideParams):
     return tail
 
 
-def _panel_sum(t, x, lo, hi, n, eps, params, chunk):
+def _panel_sum(t, x, lo, hi, n, eps, params):
     """Trapezoid of the modal integrand over [lo, hi] with n+1 samples."""
     h = (hi - lo) / n
     total = np.zeros(2, dtype=complex)
-    for start in range(0, n + 1, chunk):
-        stop = min(start + chunk, n + 1)
+    for start in range(0, n + 1, _CHUNK):
+        stop = min(start + _CHUNK, n + 1)
         xi = lo + h * np.arange(start, stop)
         w = xi + 1j * eps
         vals = _modal_sum(w, x, params) * np.exp(-1j * w * t)
@@ -140,7 +124,7 @@ def _panel_sum(t, x, lo, hi, n, eps, params, chunk):
     return total * h
 
 
-def field_modal_integral(t: float, x: float, params: WaveguideParams, controls: QuadratureControls | None = None, return_info: bool = False):
+def field_modal_integral(t: float, x: float, params: WaveguideParams, return_info: bool = False):
     """Displacement pair u(t, x) by direct quadrature (the numeric oracle).
 
     Returns a real length-2 array; with return_info=True also a dict holding
@@ -150,33 +134,32 @@ def field_modal_integral(t: float, x: float, params: WaveguideParams, controls: 
     """
     if x < 0.0:
         raise ValueError("field is evaluated for x >= 0 (it is even in x)")
-    c = controls or QuadratureControls()
     cp = crossing_point(params)
-    eps = c.epsilon if c.epsilon is not None else _auto_epsilon(t, x, params.c1)
+    eps = _auto_epsilon(t, x, params.c1)
     w_split = max(8.0, 1.2 * cp.omega_c)
-    w_max = c.omega_max if c.omega_max is not None else max(50.0 * cp.omega_c, w_split + 20.0)
-    ppu = c.points_per_unit
-    if ppu is None:
-        ppu = max(600.0, 3.0 * (x / params.c2 + abs(t)))
+    w_max = max(50.0 * cp.omega_c, w_split + 20.0)
+    # base sample density on the outer panel, scaled with the phase rate;
+    # the cutoff panel [0, w_split] is always sampled 4x denser
+    ppu = max(600.0, 3.0 * (x / params.c2 + abs(t)))
 
     tail = _tail_correction(w_max + 1j * eps, t, x, params)
 
     def evaluate(density):
         n1 = max(64, int(4.0 * density * w_split))
         n2 = max(64, int(density * (w_max - w_split)))
-        inner = _panel_sum(t, x, 0.0, w_split, n1, eps, params, c.chunk)
-        outer = _panel_sum(t, x, w_split, w_max, n2, eps, params, c.chunk)
+        inner = _panel_sum(t, x, 0.0, w_split, n1, eps, params)
+        outer = _panel_sum(t, x, w_split, w_max, n2, eps, params)
         raw = (inner + outer + tail) * (1j / (2.0 * math.pi))
         return 2.0 * np.real(raw)
 
     prev = evaluate(ppu)
     est = math.inf
-    for _ in range(c.max_refinement):
+    for _ in range(_MAX_REFINEMENT):
         ppu *= 2.0
         cur = evaluate(ppu)
         est = float(np.max(np.abs(cur - prev))) / 3.0
         scale = float(np.max(np.abs(cur)))
-        if est <= max(c.tol * scale, c.abs_floor):
+        if est <= max(_TOL * scale, _ABS_FLOOR):
             if return_info:
                 return cur, {"epsilon": eps, "omega_max": w_max, "points_per_unit": ppu, "richardson": est}
             return cur

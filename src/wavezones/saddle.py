@@ -12,10 +12,12 @@ family scheme used throughout the zone logic:
                        at the minimum (6); only the exponentially decaying
                        member (Im g > 0) is kept.
 
-Real saddles are found by a vectorized group-velocity scan plus bisection,
-with an explicit analytic rescue near the extrema so that the saddle count
-flips exactly at the threshold speeds.  Complex saddles use damped Newton on
-k'(omega) - 1/V along a tracked branch continuation.
+Real saddles come from a table, built once per parameter set, of the pieces
+of each branch on which v_g is monotone (split at the group-velocity
+extrema): a piece holds one saddle exactly when V lies strictly inside its
+v_g range, and its position on the branch is the family index.  Complex
+saddles use damped Newton on k'(omega) - 1/V along a tracked branch
+continuation.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import dispersion
 from .errors import ExtremumNotFound, NoConvergence
-from .model import WaveguideParams, crossing_point, symbol_dk, symbol_dw, symbol_pq, symbol_second
+from .model import WaveguideParams, symbol_dk, symbol_dw, symbol_pq, symbol_second
 
 __all__ = [
     "SaddlePoint",
@@ -37,8 +39,12 @@ __all__ = [
     "phase_difference",
 ]
 
-#: group-velocity samples per branch in the real-saddle scan
-_N_GRID = 4001
+#: upper end of the tabulated branches
+_W_MAX = 1e5
+#: v_g table points of a piece, as fractions of its length: dense at the
+#: start, or at both ends when the piece ends at an extremum
+_OFFSETS = np.concatenate(([0.0], np.geomspace(1e-10, 1.0, 399)))
+_OFFSETS_BOTH = np.concatenate((0.5 * _OFFSETS, 1.0 - 0.5 * _OFFSETS[-2::-1]))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -70,129 +76,107 @@ class SaddlePoint:
     params: WaveguideParams
 
 
-def _branch_bounds(branch: int, V: float, params: WaveguideParams):
-    """Scan window [cutoff, w_hi] for group-velocity crossings at speed V."""
-    lo_cut, hi_cut = dispersion.cutoff_frequencies(params)
-    if params.mu == 0.0:
-        # uncoupled: branch j is subsystem j, cutting on at its own Omega_j
-        cutoff = params.omega1 if branch == 1 else params.omega2
-    else:
-        cutoff = hi_cut if branch == 1 else lo_cut
-    c_b = params.c1 if branch == 1 else params.c2
-    om_b = params.omega1 if branch == 1 else params.omega2
-    cp = crossing_point(params)
-    w_hi = 2.0 * cp.omega_c
-    if V < c_b:
-        # uncoupled tail estimate of where v_g returns to V, with headroom
-        tail = om_b / math.sqrt(max(1.0 - (V / c_b) ** 2, 1e-12))
-        w_hi = max(w_hi, 2.0 * tail)
-    return cutoff * (1.0 + 1e-9), min(w_hi, 1e5)
+@functools.lru_cache(maxsize=128)
+def _vg_segments(params: WaveguideParams):
+    """Monotone pieces of v_g on each branch, tabulated once per parameter set.
 
-
-def _family_index(branch: int, omega: float, params: WaveguideParams) -> int:
-    """Family index of a real saddle: branch plus extremum segment."""
-    try:
-        extrema = dispersion.group_velocity_extrema(params)
-    except ExtremumNotFound:
-        extrema = ()
-    own = [e for e in extrema if e.branch == branch]
-    base = 1 if branch == 1 else 2
-    seg = sum(1 for e in own if omega > e.omega_e)
-    return base + seg
-
-
-def _solve_vg(branch: int, V: float, lo: float, hi: float, params: WaveguideParams) -> float:
-    def f(w):
-        k = dispersion.branch_k(branch, w, params)
-        return float(np.real(dispersion.derivatives_at(complex(w), k, params).vg)) - V
-
-    return dispersion.bisect_root(f, lo, hi, xtol=1e-13 * max(1.0, hi))
-
-
-@functools.lru_cache(maxsize=4096)
-def find_real_saddles(V: float, params: WaveguideParams):
-    """All real stationary points at observer speed V, sorted by family index.
-
-    Empty for V >= c1.  The grid scan brackets sign changes of v_g - V; near
-    each group-velocity extremum the pair is re-derived from the local cubic
-    model (omega_e +/- sqrt((1/v_e - 1/V)/cubic_coeff)) and polished, so the
-    count transition at V = v_e is resolved to floating-point accuracy.
+    Each branch runs from just above its cutoff to _W_MAX and is split at its
+    group-velocity extrema; piece n = 0, 1, ... of branch b carries family
+    index b + n.  Returns tuples (branch, index, omega, vg) ordered by
+    increasing vg, so a piece holds a saddle at speed V exactly when
+    vg[0] < V < vg[-1].
     """
-    if V >= params.c1 or V <= 0.0:
-        return ()
+    lo_cut, hi_cut = dispersion.cutoff_frequencies(params)
     try:
         extrema = dispersion.group_velocity_extrema(params)
     except ExtremumNotFound:
         extrema = ()
     out = []
     for branch in (1, 2):
-        c_b = params.c1 if branch == 1 else params.c2
-        lo, hi = _branch_bounds(branch, V, params)
-        grid = np.linspace(lo, hi, _N_GRID)
-        k = np.atleast_1d(dispersion.branch_k(branch, grid, params))
-        d = dispersion.derivatives_at(grid.astype(complex), k, params)
-        f = np.real(d.vg) - V
-        good = np.isfinite(f)
-        roots = []
-        idx = np.nonzero(good[:-1] & good[1:] & (f[:-1] * f[1:] < 0.0))[0]
-        for i in idx:
-            roots.append(_solve_vg(branch, V, float(grid[i]), float(grid[i + 1]), params))
-        spacing = (hi - lo) / (_N_GRID - 1)
-        for e in (e for e in extrema if e.branch == branch):
-            qty = (1.0 / e.v_e - 1.0 / V) / e.cubic_coeff
-            # real pair hugging the extremum; rescue when the grid cannot split it
-            if 0.0 < qty < (4.0 * spacing) ** 2:
-                delta = math.sqrt(qty)
-                for seed in (e.omega_e - delta, e.omega_e + delta):
-                    roots.append(_polish_real(branch, V, seed, params))
-        roots = sorted(r for r in roots if r is not None)
-        dedup = []
-        for r in roots:
-            if not dedup or abs(r - dedup[-1]) > 1e-9 * (1.0 + r):
-                dedup.append(r)
-        for w in dedup:
-            if V >= c_b:
-                # the tail crossing is spurious once V reaches the asymptote
-                continue
-            k_s = dispersion.branch_k(branch, w, params)
-            ds = dispersion.derivatives_at(complex(w), k_s, params)
-            out.append(
-                SaddlePoint(
-                    omega_star=complex(w),
-                    k_star=complex(k_s),
-                    branch=branch,
-                    index=_family_index(branch, w, params),
-                    alpha=complex(ds.kpp),
-                    g=complex(k_s) - complex(w) / V,
-                    is_real=True,
-                    passed_by_contour=True,
-                    V=V,
-                    params=params,
-                )
-            )
-    out.sort(key=lambda s: s.index)
+        if params.mu == 0.0:
+            # uncoupled: branch j is subsystem j, cutting on at its own Omega_j
+            cutoff = params.omega1 if branch == 1 else params.omega2
+        else:
+            cutoff = hi_cut if branch == 1 else lo_cut
+        own = [(e.omega_e, e.v_e) for e in extrema if e.branch == branch]
+        ends = [(cutoff * (1.0 + 1e-9), None), *own, (_W_MAX, None)]
+        for n, ((lo, v_lo), (hi, v_hi)) in enumerate(zip(ends[:-1], ends[1:])):
+            w = lo + (hi - lo) * (_OFFSETS if v_hi is None else _OFFSETS_BOTH)
+            k = dispersion.branch_k(branch, w, params)
+            vg = np.real(dispersion.derivatives_at(w.astype(complex), k, params).vg)
+            # end at the extremum speeds themselves, so the count flips exactly
+            # at v_e, and keep rounding noise beside them from breaking the order
+            if v_lo is not None:
+                vg[0] = v_lo
+            if v_hi is not None:
+                vg[-1] = v_hi
+            if vg[-1] < vg[0]:
+                w, vg = w[::-1], vg[::-1]
+            out.append((branch, branch + n, w, np.maximum.accumulate(np.minimum(vg, vg[-1]))))
     return tuple(out)
 
 
-def _polish_real(branch: int, V: float, seed: float, params: WaveguideParams):
-    """Newton-polish a real saddle seed on k'(omega) - 1/V; None on failure."""
-    w = seed
-    target = 1.0 / V
-    for _ in range(60):
-        k = dispersion.branch_k(branch, w, params)
-        d = dispersion.derivatives_at(complex(w), k, params)
-        F = float(np.real(d.kp)) - target
-        Fp = float(np.real(d.kpp))
-        if Fp == 0.0:
-            return None
-        step = -F / Fp
-        w_new = w + step
-        if not (w_new > 0.0) or not math.isfinite(w_new):
-            return None
-        w = w_new
-        if abs(step) < 1e-14 * (1.0 + abs(w)):
-            return w
-    return w if abs(step) < 1e-9 else None
+def _solve_segment(branch: int, w, vg, V: float, params: WaveguideParams):
+    """Root of F = k'(omega) - 1/V on one tabulated piece: (omega, k, derivatives).
+
+    The table brackets the root, with F > 0 at the a end and F <= 0 at the
+    b end; Newton steps that leave the bracket are replaced by bisection.
+    """
+    i = int(np.searchsorted(vg, V))
+    a, b = float(w[i - 1]), float(w[i])
+    x = a + (b - a) * (V - vg[i - 1]) / (vg[i] - vg[i - 1])
+    for _ in range(100):
+        k = dispersion.branch_k(branch, x, params)
+        d = dispersion.derivatives_at(complex(x), k, params)
+        F = d.kp.real - 1.0 / V
+        if F > 0.0:
+            a = x
+        else:
+            b = x
+        step = -F / d.kpp.real if d.kpp.real != 0.0 else math.inf
+        if abs(step) <= 1e-14 * x or abs(b - a) <= 1e-15 * x:
+            return x, k, d
+        x = x + step
+        if not min(a, b) < x < max(a, b):
+            x = 0.5 * (a + b)
+    raise NoConvergence(
+        f"real saddle on branch {branch} not polished at V={V:.6g}", achieved=abs(b - a) / x
+    )
+
+
+@functools.lru_cache(maxsize=4096)
+def find_real_saddles(V: float, params: WaveguideParams):
+    """All real stationary points at observer speed V, sorted by family index.
+
+    Empty for V >= c1, and branch b contributes nothing for V >= c_b.  Each
+    monotone piece of v_g (see :func:`_vg_segments`) whose range strictly
+    contains V holds exactly one saddle, so the count flips exactly at the
+    extremum speeds v_e; the root is polished by bracketed Newton.
+    """
+    if V >= params.c1 or V <= 0.0:
+        return ()
+    out = []
+    for branch, index, w, vg in _vg_segments(params):
+        c_b = params.c1 if branch == 1 else params.c2
+        if V >= c_b or not vg[0] < V < vg[-1]:
+            continue
+        x, k_s, ds = _solve_segment(branch, w, vg, V, params)
+        out.append(
+            SaddlePoint(
+                omega_star=complex(x),
+                k_star=complex(k_s),
+                branch=branch,
+                index=index,
+                alpha=complex(ds.kpp),
+                g=complex(k_s) - complex(x) / V,
+                is_real=True,
+                passed_by_contour=True,
+                V=V,
+                params=params,
+            )
+        )
+    out.sort(key=lambda s: s.index)
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=4096)

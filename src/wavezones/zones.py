@@ -159,9 +159,8 @@ def classify(t: float, V: float, params: WaveguideParams, S: float = 3.0):
         s_abs = (x * x / abs(e.cubic_coeff)) ** (1.0 / 3.0) * abs(1.0 / V - 1.0 / e.v_e)
         pocket[pair] = (4.0 / 3.0) * s_abs**1.5 < S
 
-    # pocket-active extrema whose pair collapsed (neither member resolved,
-    # or a lone deduped double root) get their Airy node directly
-    forced_ai: dict[int, object] = {}
+    # pocket-active extrema whose pair is unresolved (V = v_e exactly: the
+    # pair is neither real nor complex) get their Airy node directly
     loose_ai: list[object] = []
     for pair, e in ext_by_pair.items():
         if not pocket[pair]:
@@ -173,13 +172,9 @@ def classify(t: float, V: float, params: WaveguideParams, S: float = 3.0):
         if e.kind == "max" and V < e.v_e:
             continue
         partner = 6 if e.kind == "min" else 5
-        present = [i for i in pair if i in reals]
-        if len(present) == 2 or partner in complexes:
+        if any(i in reals for i in pair) or partner in complexes:
             continue  # handled through clusters / complex branch below
-        if present:
-            forced_ai[present[0]] = e
-        else:
-            loose_ai.append(e)
+        loose_ai.append(e)
 
     descriptors: list[TermDescriptor] = []
     letters: set[str] = set()
@@ -195,9 +190,6 @@ def classify(t: float, V: float, params: WaveguideParams, S: float = 3.0):
             if crossing_linked and i == 1:
                 descriptors.append(TermDescriptor("J", saddles=(1,), note="crossing ghost"))
                 letters.add("J")
-            elif i in forced_ai:
-                descriptors.append(TermDescriptor("Ai", saddles=ids, extremum=forced_ai[i], note="collapsed pair"))
-                letters.add("Ai")
             else:
                 descriptors.append(TermDescriptor("SP", saddles=ids))
                 letters.add("SP")

@@ -1,9 +1,14 @@
 """Stationary-point location on both branches, real and complex."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from wavezones import dispersion, saddle
 from wavezones.dispersion import group_velocity, group_velocity_extrema
+from wavezones.errors import ExtremumNotFound
 from wavezones.model import DEFAULT_PARAMS, dispersion_D
 from wavezones.saddle import find_complex_saddles, find_real_saddles, phase_difference
 
@@ -37,6 +42,36 @@ def test_count_ladder_across_regimes():
     expected = {0.5: 2, 1.3: 2, 1.45: 4, 1.47: 4, 1.55: 2, 1.9: 1, 2.0: 0, 2.5: 0}
     for V, n in expected.items():
         assert len(find_real_saddles(V, DEFAULT_PARAMS)) == n, V
+
+
+@pytest.mark.parametrize("mu", [0.05, 0.5])
+def test_pair_survives_just_inside_window(mu):
+    # a hair inside each extremum speed both members of the merging pair are
+    # real: four saddles, never an odd count
+    p = dataclasses.replace(DEFAULT_PARAMS, mu=mu)
+    for e in group_velocity_extrema(p):
+        inward = -1.0 if e.kind == "max" else 1.0
+        for d in (1e-12, 1e-11, 1e-10, 1e-9):
+            V = e.v_e * (1.0 + inward * d)
+            assert [r.index for r in find_real_saddles(V, p)] == [1, 2, 3, 4], (e.kind, d)
+
+
+@given(st.floats(min_value=0.05, max_value=1.5), st.floats(min_value=0.01, max_value=2.1, exclude_max=True))
+def test_count_follows_ladder_over_coupling(mu, V):
+    # the ladder [0, 1, 2, 4, 2] read off the extrema alone
+    p = dataclasses.replace(DEFAULT_PARAMS, mu=mu)
+    try:
+        speeds = [e.v_e for e in group_velocity_extrema(p)]
+    except ExtremumNotFound:
+        speeds = []
+    assume(all(abs(V - s) > 1e-9 * s for s in [p.c1, p.c2, *speeds]))
+    if V >= p.c1:
+        want = 0
+    elif V >= p.c2:
+        want = 1
+    else:
+        want = 4 if speeds and min(speeds) < V < max(speeds) else 2
+    assert len(find_real_saddles(V, p)) == want
 
 
 def test_complex_partner_below_window_frozen():
@@ -96,6 +131,25 @@ def test_velocity_attribute_recorded():
 
 
 def test_one_cache_layer():
-    for fn in (find_real_saddles, find_complex_saddles, group_velocity_extrema):
+    for fn in (find_real_saddles, find_complex_saddles, group_velocity_extrema, saddle._vg_segments):
         assert fn.cache_info().maxsize > 0
         assert not hasattr(fn.__wrapped__, "cache_info"), fn.__name__
+
+
+def test_real_saddles_evaluate_the_branch_pointwise(monkeypatch):
+    # the branch is tabulated once per parameter set; a new V only polishes
+    # roots, so every branch evaluation it makes is at a single frequency
+    saddle._vg_segments(DEFAULT_PARAMS)
+    shapes = []
+
+    def recording(fn):
+        def wrapper(*args, **kwargs):
+            shapes.extend(np.ndim(a) for a in args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(dispersion, "branch_k", recording(dispersion.branch_k))
+    monkeypatch.setattr(dispersion, "derivatives_at", recording(dispersion.derivatives_at))
+    for V in np.linspace(0.3123456, 1.9123456, 20):
+        find_real_saddles(float(V), DEFAULT_PARAMS)
+    assert shapes and set(shapes) == {0}

@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from .errors import BranchPointProximity, ExtremumNotFound, OverstrongCoupling
+from .errors import BranchPointProximity, ExtremumNotFound, NoConvergence, OverstrongCoupling
 from .model import WaveguideParams, crossing_point, symbol_dk, symbol_dw, symbol_pq, symbol_second
 
 __all__ = [
@@ -45,7 +45,7 @@ __all__ = [
     "GroupVelocityExtremum",
     "group_velocity_extrema",
     "sample_diagram",
-    "bisect_root",
+    "bracketed_newton",
 ]
 
 
@@ -197,31 +197,31 @@ def exchange_branch_points(params: WaveguideParams):
     return pts
 
 
-def bisect_root(fn, lo: float, hi: float, xtol: float = 1e-13, max_iter: int = 200) -> float:
-    """Plain bisection for a sign change of fn on [lo, hi].
+def bracketed_newton(branch: int, residual, a: float, b: float, x: float, params: WaveguideParams):
+    """Root of residual(derivatives) = (F, dF/domega) along a branch: (omega, k, derivatives).
 
-    Deterministic and derivative-free; xtol is absolute in the argument.
+    F > 0 at the a end and F <= 0 at the b end (a may lie on either side of
+    b); x starts inside the bracket, and Newton steps that leave it are
+    replaced by bisection.
     """
-    f_lo = fn(lo)
-    f_hi = fn(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if (f_lo > 0.0) == (f_hi > 0.0):
-        raise ValueError(f"no sign change on [{lo}, {hi}]")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < xtol:
-            return mid
-        f_mid = fn(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
+    for _ in range(100):
+        k = branch_k(branch, x, params)
+        d = derivatives_at(complex(x), k, params)
+        F, slope = residual(d)
+        if F > 0.0:
+            a = x
         else:
-            hi, f_hi = mid, f_mid
-    return 0.5 * (lo + hi)
+            b = x
+        step = -F / slope if slope != 0.0 else math.inf
+        if abs(step) <= 1e-14 * x or abs(b - a) <= 1e-15 * x:
+            return x, k, d
+        x = x + step
+        if not min(a, b) < x < max(a, b):
+            x = 0.5 * (a + b)
+    raise NoConvergence(
+        f"root on branch {branch} not polished in [{min(a, b):.6g}, {max(a, b):.6g}]",
+        achieved=abs(b - a) / x,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +261,9 @@ def group_velocity_extrema(params: WaveguideParams):
 
     Scans k''(omega) for sign changes on a window spanning the avoided
     crossing (from just above the upper cutoff to 1.5 omega_c, 2001 points
-    per branch) and polishes each by bisection to ~1e-12.  Returns a tuple
-    sorted by omega_e; raises :class:`ExtremumNotFound` when there are none
-    (e.g. mu = 0).
+    per branch) and polishes each by bracketed Newton on k'', with k''' as
+    its slope.  Returns a tuple sorted by omega_e; raises
+    :class:`ExtremumNotFound` when there are none (e.g. mu = 0).
     """
     cp = crossing_point(params)
     _, w_hi_cut = cutoff_frequencies(params)
@@ -276,10 +276,11 @@ def group_velocity_extrema(params: WaveguideParams):
         sign = np.sign(kpp)
         flips = np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]
         for i in flips:
-            f = lambda w: float(np.real(_kpp_on_branch(branch, w, params)))
-            w_e = bisect_root(f, float(grid[i]), float(grid[i + 1]), xtol=1e-12)
-            k_e = branch_k(branch, w_e, params)
-            d = derivatives_at(complex(w_e), k_e, params)
+            a, b = (i, i + 1) if kpp[i] > 0.0 else (i + 1, i)
+            start = grid[i] + (grid[i + 1] - grid[i]) * kpp[i] / (kpp[i] - kpp[i + 1])
+            w_e, k_e, d = bracketed_newton(
+                branch, lambda d: (d.kpp.real, d.kppp.real), float(grid[a]), float(grid[b]), float(start), params
+            )
             coeff = -0.5 * float(np.real(d.kppp))
             found.append(
                 GroupVelocityExtremum(

@@ -119,29 +119,13 @@ def _vg_segments(params: WaveguideParams):
 def _solve_segment(branch: int, w, vg, V: float, params: WaveguideParams):
     """Root of F = k'(omega) - 1/V on one tabulated piece: (omega, k, derivatives).
 
-    The table brackets the root, with F > 0 at the a end and F <= 0 at the
-    b end; Newton steps that leave the bracket are replaced by bisection.
+    The table brackets the root (F > 0 at its slow end), which
+    :func:`dispersion.bracketed_newton` polishes.
     """
     i = int(np.searchsorted(vg, V))
     a, b = float(w[i - 1]), float(w[i])
     x = a + (b - a) * (V - vg[i - 1]) / (vg[i] - vg[i - 1])
-    for _ in range(100):
-        k = dispersion.branch_k(branch, x, params)
-        d = dispersion.derivatives_at(complex(x), k, params)
-        F = d.kp.real - 1.0 / V
-        if F > 0.0:
-            a = x
-        else:
-            b = x
-        step = -F / d.kpp.real if d.kpp.real != 0.0 else math.inf
-        if abs(step) <= 1e-14 * x or abs(b - a) <= 1e-15 * x:
-            return x, k, d
-        x = x + step
-        if not min(a, b) < x < max(a, b):
-            x = 0.5 * (a + b)
-    raise NoConvergence(
-        f"real saddle on branch {branch} not polished at V={V:.6g}", achieved=abs(b - a) / x
-    )
+    return dispersion.bracketed_newton(branch, lambda d: (d.kp.real - 1.0 / V, d.kpp.real), a, b, x, params)
 
 
 @functools.lru_cache(maxsize=4096)

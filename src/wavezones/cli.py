@@ -138,19 +138,28 @@ def cmd_zones(args: argparse.Namespace, params: WaveguideParams) -> int:
     return 0
 
 
-def _field_point(task):
+def _map(fn, items, threads: int) -> list:
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
+def _assembled(task):
     t, V, params, S = task
-    x = V * t
     try:
-        fv = assemble_field(t, x, params, S)
-        u = fv.u if fv.used_oracle else field_modal_integral(t, x, params)
-        terms = "+".join(
-            f"{d.kind}[{' '.join(str(i) for i in d.saddles)}]" for d in fv.terms
-        )
-        return (t, V, fv.zone.primary, float(u[0]), float(u[1]),
-                float(fv.u[0]), float(fv.u[1]), terms or "-", True)
+        return assemble_field(t, V * t, params, S)
     except NoConvergence:
+        return None
+
+
+def _field_row(t, V, fv, u):
+    """One output row; fv None or a NaN oracle value marks a failed point."""
+    if fv is None or np.isnan(u[0]):
         return (t, V, "?", np.nan, np.nan, np.nan, np.nan, "-", False)
+    terms = "+".join(f"{d.kind}[{' '.join(str(i) for i in d.saddles)}]" for d in fv.terms)
+    return (t, V, fv.zone.primary, float(u[0]), float(u[1]),
+            float(fv.u[0]), float(fv.u[1]), terms or "-", True)
 
 
 def cmd_field(args: argparse.Namespace, params: WaveguideParams) -> int:
@@ -158,11 +167,22 @@ def cmd_field(args: argparse.Namespace, params: WaveguideParams) -> int:
     t_vals = np.linspace(args.t_min, args.t_max, nt) if nt > 1 else [args.t_min]
     v_vals = np.linspace(args.v_min, args.v_max, nv) if nv > 1 else [args.v_min]
     tasks = [(float(t), float(V), params, args.S) for t in t_vals for V in v_vals]
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(_field_point, tasks))
-    else:
-        results = [_field_point(task) for task in tasks]
+    fvs = _map(_assembled, tasks, args.threads)
+    # the points the assembly did not evaluate by quadrature go to the oracle
+    # together, so points on the same quadrature grid share its frequency
+    # tables; with threads, each thread takes a contiguous share of them
+    need = [i for i, fv in enumerate(fvs) if fv is not None and not fv.used_oracle]
+    shares = [s.tolist() for s in np.array_split(need, max(args.threads, 1)) if s.size]
+
+    def oracle(share):
+        t = np.array([tasks[i][0] for i in share])
+        return field_modal_integral(t, np.array([tasks[i][1] for i in share]) * t, params)
+
+    u = [None if fv is None else fv.u for fv in fvs]
+    for share, rows in zip(shares, _map(oracle, shares, args.threads)):
+        for i, row in zip(share, rows):
+            u[i] = row
+    results = [_field_row(t, V, fv, ui) for (t, V, _, _), fv, ui in zip(tasks, fvs, u)]
     header = _config_echo(args, params) + [
         "columns: t,V,zone,u1_oracle,u2_oracle,u1_asym,u2_asym,terms,converged"
     ]
@@ -192,11 +212,7 @@ def cmd_field(args: argparse.Namespace, params: WaveguideParams) -> int:
 
 def cmd_compare(args: argparse.Namespace, params: WaveguideParams) -> int:
     runners = [getattr(acceptance, f"criterion_{i:02d}") for i in range(1, 13)]
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(lambda r: r(params), runners))
-    else:
-        results = [r(params) for r in runners]
+    results = _map(lambda r: r(params), runners, args.threads)
     report = {
         "config": _config_echo(args, params),
         "criteria": [

@@ -72,9 +72,8 @@ def k_squared_roots(omega, params: WaveguideParams):
     r_far = (B + disc) / (2.0 * A4)
     safe = np.where(r_far == 0.0, 1.0, r_far)
     r_near = np.where(r_far == 0.0, B / (2.0 * A4), C / (A4 * safe))
-    lo = np.where(np.real(r_near) <= np.real(r_far), r_near, r_far)
-    hi = np.where(np.real(r_near) <= np.real(r_far), r_far, r_near)
-    return lo, hi
+    near_first = np.real(r_near) <= np.real(r_far)
+    return np.where(near_first, r_near, r_far), np.where(near_first, r_far, r_near)
 
 
 def branch_k(branch: int, omega, params: WaveguideParams):

@@ -22,6 +22,17 @@ estimate, reported through :class:`NoConvergence` on failure.  Samples are
 evaluated in fixed blocks of :data:`_BLOCK`, small enough that the integrand's
 temporaries stay in cache.
 
+Most of a sample's cost depends on omega alone: the two upper roots k and
+the modal weights A / d_k D.  :func:`field_modal_integral` therefore takes
+arrays of (t, x) as well, and groups the points by their quadrature grid
+(contour height eps, cutoff w_max and the two panels' base interval counts,
+all set per point by :func:`_panels`).  Each group walks the nested
+doublings once, block by block: a block's omega tables are computed once,
+then every point still refining adds only its own e^{i (k x - omega t)}
+sums.  Each point keeps its own tail correction, Richardson test and
+stopping level, so its value does not depend on which points share its
+grid; a scalar call is a group of one.
+
 The module also carries the scalar one-layer references and the direct loop
 quadrature of the exchange-pulse integral, used as oracles in the tests.
 """
@@ -60,10 +71,11 @@ _MAX_REFINEMENT = 3
 _TOL = 3e-4
 #: absolute convergence floor (silent-zone values)
 _ABS_FLOOR = 1e-8
-#: samples evaluated at once: a block's complex temporaries are 512 KB each,
-#: so the few alive at a time stay in cache (400k-sample blocks, 6.4 MB
-#: temporaries, cost 1.1-1.4x more per sample and 3x the peak memory)
-_BLOCK = 32_768
+#: samples evaluated at once: a block's complex arrays are 128 KB each, so
+#: its omega tables (7 such arrays) and the point's temporaries stay in a
+#: 2 MB L2 cache (32k-sample blocks run 5-10% slower and add 10 MB of peak
+#: memory; 400k-sample blocks cost 1.1-1.4x more per sample)
+_BLOCK = 8_192
 
 
 def _auto_epsilon(t: float, x: float, c1: float) -> float:
@@ -81,15 +93,48 @@ def _sqrt_upper(r):
     return np.where(s.imag < 0.0, -s, s)
 
 
-def _modal_sum(omega, x, t, params: WaveguideParams):
-    """sum over the two Im k > 0 roots of A / d_k D * e^{i (k x - omega t)}, shape (2, n)."""
-    out = None
+def _panels(t: float, x: float, params: WaveguideParams):
+    """Quadrature grid of the point (t, x): (eps, w_max, ppu, panels).
+
+    ppu is the base sample density on the outer panel, scaled with the phase
+    rate; the cutoff panel [0, w_split] is always sampled 4x denser.  panels
+    holds each panel's (lo, hi, base interval count).  Points with equal eps
+    and panels sample the same frequencies at every level.
+    """
+    cp = crossing_point(params)
+    eps = _auto_epsilon(t, x, params.c1)
+    w_split = max(8.0, 1.2 * cp.omega_c)
+    w_max = max(50.0 * cp.omega_c, w_split + 20.0)
+    ppu = max(600.0, 3.0 * (x / params.c2 + abs(t)))
+    panels = (
+        (0.0, w_split, max(64, int(4.0 * ppu * w_split))),
+        (w_split, w_max, max(64, int(ppu * (w_max - w_split)))),
+    )
+    return eps, w_max, ppu, panels
+
+
+def _tables(omega, params: WaveguideParams):
+    """Per root with Im k > 0: (i k, A / d_k D) at the sample frequencies omega."""
+    out = []
     for r in k_squared_roots(omega, params):
         k = _sqrt_upper(r)
-        term = modal_weight(omega, k, params)
-        term *= np.exp(1j * (k * x - omega * t))
-        out = term if out is None else out + term
+        out.append((1j * k, modal_weight(omega, k, params)))
     return out
+
+
+def _modal_sum(tables, iomega, x, t):
+    """Sum over samples and roots of A / d_k D * e^{i (k x - omega t)}, shape (2,).
+
+    tables are those of :func:`_tables` at omega, and iomega = i omega.
+    """
+    iwt = iomega * t
+    total = 0.0
+    for ik, h in tables:
+        arg = np.multiply(ik, x)
+        arg -= iwt
+        # einsum, not BLAS: the same sum whatever the batch or thread count
+        total = total + np.einsum("ij,j->i", h, np.exp(arg, out=arg))
+    return total
 
 
 def _tail_correction(w_end, t, x, params: WaveguideParams):
@@ -113,77 +158,123 @@ def _tail_correction(w_end, t, x, params: WaveguideParams):
     return tail
 
 
-def _sample_sum(t, x, lo, h, first, stride, count, eps, params):
-    """Sum of the modal integrand at omega = lo + h (first + stride j) + i eps, j < count."""
-    total = np.zeros(2, dtype=complex)
+def _sample_sums(points, lo, h, first, stride, count, eps, params):
+    """Per point of points, the sum of the modal integrand at
+    omega = lo + h (first + stride j) + i eps, j < count; shape (len(points), 2).
+
+    Each block's frequency tables are computed once and shared by every point.
+    """
+    total = np.zeros((len(points), 2), dtype=complex)
     for j0 in range(0, count, _BLOCK):
         j1 = min(j0 + _BLOCK, count)
         idx = np.arange(first + stride * j0, first + stride * j1, stride, dtype=float)
-        total += _modal_sum(lo + h * idx + 1j * eps, x, t, params).sum(axis=1)
+        omega = lo + h * idx + 1j * eps
+        tables = _tables(omega, params)
+        iomega = 1j * omega
+        for i, (t, x) in enumerate(points):
+            total[i] += _modal_sum(tables, iomega, x, t)
     return total
 
 
-def field_modal_integral(t: float, x: float, params: WaveguideParams, return_info: bool = False):
-    """Displacement pair u(t, x) by direct quadrature (the numeric oracle).
+def _integrate_group(points, eps, w_max, panels, params):
+    """Nested trapezoid refinement of every point of one quadrature grid.
 
-    Returns a real length-2 array; with return_info=True also a dict holding
-    the contour height, truncation, final density, Richardson estimate, the
-    number of integrand samples evaluated and the number of doublings made.
-    Raises :class:`NoConvergence` when doubling the density never brings the
-    Richardson estimate under tolerance.
+    Each point keeps its own tail, Richardson test and stopping level; only
+    the frequency tables are shared.  Returns per point (u, doublings,
+    Richardson estimate), with u None when tolerance is never met.
     """
-    if x < 0.0:
-        raise ValueError("field is evaluated for x >= 0 (it is even in x)")
-    cp = crossing_point(params)
-    eps = _auto_epsilon(t, x, params.c1)
-    w_split = max(8.0, 1.2 * cp.omega_c)
-    w_max = max(50.0 * cp.omega_c, w_split + 20.0)
-    # base sample density on the outer panel, scaled with the phase rate;
-    # the cutoff panel [0, w_split] is always sampled 4x denser
-    ppu = max(600.0, 3.0 * (x / params.c2 + abs(t)))
+    tails = np.array([_tail_correction(w_max + 1j * eps, t, x, params) for t, x in points])
+    out = [(None, 0, math.inf)] * len(points)
 
-    tail = _tail_correction(w_max + 1j * eps, t, x, params)
-    panels = [
-        (0.0, w_split, max(64, int(4.0 * ppu * w_split))),
-        (w_split, w_max, max(64, int(ppu * (w_max - w_split)))),
-    ]
-
-    def value(sums, level):
+    def value(sums, rows, level):
         raw = sum(s * ((hi - lo) / (n << level)) for s, (lo, hi, n) in zip(sums, panels))
-        return 2.0 * np.real((raw + tail) * (1j / (2.0 * math.pi)))
+        return 2.0 * np.real((raw + tails[rows]) * (1j / (2.0 * math.pi)))
 
     # level 0: interior samples at full weight, the two ends at half weight
     sums = [
-        _sample_sum(t, x, lo, (hi - lo) / n, 1, 1, n - 1, eps, params)
-        + 0.5 * _sample_sum(t, x, lo, hi - lo, 0, 1, 2, eps, params)
+        _sample_sums(points, lo, (hi - lo) / n, 1, 1, n - 1, eps, params)
+        + 0.5 * _sample_sums(points, lo, hi - lo, 0, 1, 2, eps, params)
         for lo, hi, n in panels
     ]
-    prev = value(sums, 0)
-    est = math.inf
+    active = np.arange(len(points))
+    prev = value(sums, active, 0)
     for level in range(1, _MAX_REFINEMENT + 1):
         # level d halves the spacing: only the odd-indexed samples are new
+        refining = [points[i] for i in active]
         for i, (lo, hi, n) in enumerate(panels):
             new = n << (level - 1)
-            sums[i] += _sample_sum(t, x, lo, (hi - lo) / (2 * new), 1, 2, new, eps, params)
-        cur = value(sums, level)
-        est = float(np.max(np.abs(cur - prev))) / 3.0
-        scale = float(np.max(np.abs(cur)))
-        if est <= max(_TOL * scale, _ABS_FLOOR):
-            if return_info:
-                return cur, {
-                    "epsilon": eps,
-                    "omega_max": w_max,
-                    "points_per_unit": ppu * 2**level,
-                    "richardson": est,
-                    "samples": sum((n << level) + 1 for _, _, n in panels),
-                    "doublings": level,
-                }
-            return cur
-        prev = cur
-    raise NoConvergence(
-        f"modal quadrature not converged at t={t:.6g}, x={x:.6g} (density {ppu * 2**_MAX_REFINEMENT:.0f}/unit)",
-        achieved=est,
-    )
+            sums[i] += _sample_sums(refining, lo, (hi - lo) / (2 * new), 1, 2, new, eps, params)
+        cur = value(sums, active, level)
+        est = np.max(np.abs(cur - prev), axis=1) / 3.0
+        tol = np.maximum(_TOL * np.max(np.abs(cur), axis=1), _ABS_FLOOR)
+        for j, i in enumerate(active):
+            out[i] = (cur[j] if est[j] <= tol[j] else None, level, float(est[j]))
+        keep = est > tol
+        active, prev = active[keep], cur[keep]
+        sums = [s[keep] for s in sums]
+        if not active.size:
+            break
+    return out
+
+
+def field_modal_integral(t, x, params: WaveguideParams, return_info: bool = False):
+    """Displacement pair u(t, x) by direct quadrature (the numeric oracle).
+
+    t and x are scalars, or equal-length 1-D arrays evaluated in one call.
+    A scalar call returns a real length-2 array; with return_info=True also a
+    dict holding the contour height, truncation, final density, Richardson
+    estimate, the number of integrand samples evaluated, the number of
+    doublings made and the number of points that shared the frequency tables
+    (``batch``).  It raises :class:`NoConvergence` when doubling the density
+    never brings the Richardson estimate under tolerance.
+
+    An array call returns shape (n, 2), and with return_info=True also a list
+    of n such dicts.  A point that does not converge gets a NaN row and its
+    :class:`NoConvergence` under the dict's ``error`` key (None elsewhere).
+    """
+    ts, xs = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
+    scalar = ts.ndim == 0 and xs.ndim == 0
+    if not scalar and (ts.ndim != 1 or ts.shape != xs.shape):
+        raise ValueError("t and x must be scalars or equal-length 1-D arrays")
+    ts, xs = ts.reshape(-1).tolist(), xs.reshape(-1).tolist()
+    if any(xi < 0.0 for xi in xs):
+        raise ValueError("field is evaluated for x >= 0 (it is even in x)")
+
+    grids = [_panels(ti, xi, params) for ti, xi in zip(ts, xs)]
+    groups: dict = {}
+    for i, (eps, w_max, _, panels) in enumerate(grids):
+        groups.setdefault((eps, w_max, panels), []).append(i)
+
+    u = np.full((len(ts), 2), np.nan)
+    infos = [None] * len(ts)
+    for (eps, w_max, panels), members in groups.items():
+        points = [(ts[i], xs[i]) for i in members]
+        for i, (ui, level, est) in zip(members, _integrate_group(points, eps, w_max, panels, params)):
+            ppu = grids[i][2]
+            error = None
+            if ui is None:
+                error = NoConvergence(
+                    f"modal quadrature not converged at t={ts[i]:.6g}, x={xs[i]:.6g} "
+                    f"(density {ppu * 2**level:.0f}/unit)",
+                    achieved=est,
+                )
+            else:
+                u[i] = ui
+            infos[i] = {
+                "epsilon": eps,
+                "omega_max": w_max,
+                "points_per_unit": ppu * 2**level,
+                "richardson": est,
+                "samples": sum((n << level) + 1 for _, _, n in panels),
+                "doublings": level,
+                "batch": len(members),
+                "error": error,
+            }
+    if scalar:
+        if infos[0]["error"] is not None:
+            raise infos[0]["error"]
+        return (u[0], infos[0]) if return_info else u[0]
+    return (u, infos) if return_info else u
 
 
 # ---------------------------------------------------------------------------

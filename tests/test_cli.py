@@ -10,7 +10,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from wavezones import acceptance, cli
+from wavezones import acceptance, cli, oracle
 from wavezones.cli import main
 
 KNOWN_LABELS = {"zero", "B", "Q", "J", "Ai", "SP", "SPe"}
@@ -134,6 +134,21 @@ def test_field_threads_agree(tmp_path):
     assert main(base + ["--threads", "2", "--out", str(b)]) == 0
     pa, pb = json.loads(_read(a))["points"], json.loads(_read(b))["points"]
     assert pa == pb
+
+
+def test_field_reports_unconverged_points(tmp_path, monkeypatch):
+    # no tolerance can be met: every point of the batched oracle call fails
+    # on its own, and field reports each as a converged=0 row and exits 1
+    monkeypatch.setattr(oracle, "_TOL", 0.0)
+    monkeypatch.setattr(oracle, "_ABS_FLOOR", 0.0)
+    out = tmp_path / "f.csv"
+    rc = main(["field", "--t-min", "30", "--t-max", "30", "--v-min", "1.0", "--v-max", "2.2",
+               "--grid", "1x2", "--out", str(out)])
+    assert rc == 1
+    rows = [l.split(",") for l in _read(out).strip().splitlines() if not l.startswith("#")]
+    assert rows[0][-1] == "converged" and len(rows) == 3
+    for r in rows[1:]:
+        assert r[2] == "?" and r[3] == "nan" and r[-1] == "0"
 
 
 def test_scalar_csv(tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from wavezones import oracle
 from wavezones.errors import NoConvergence
-from wavezones.model import DEFAULT_PARAMS, WaveguideParams, crossing_point, validate
+from wavezones.model import DEFAULT_PARAMS, WaveguideParams, validate
 from wavezones.oracle import (
     field_modal_integral,
     j_int_quadrature,
@@ -34,20 +34,14 @@ def test_return_info_reports_convergence():
 
 def _base_intervals(t, x, p):
     """The oracle's (lo, hi, intervals) of both panels before any doubling."""
-    cp = crossing_point(p)
-    w_split = max(8.0, 1.2 * cp.omega_c)
-    w_max = max(50.0 * cp.omega_c, w_split + 20.0)
-    ppu = max(600.0, 3.0 * (x / p.c2 + abs(t)))
-    return [
-        (0.0, w_split, max(64, int(4.0 * ppu * w_split))),
-        (w_split, w_max, max(64, int(ppu * (w_max - w_split)))),
-    ]
+    return oracle._panels(t, x, p)[3]
 
 
 def _count_samples(monkeypatch):
+    """Sizes of the frequency tables the oracle computes, one entry per block."""
     counted = []
-    modal_sum = oracle._modal_sum
-    monkeypatch.setattr(oracle, "_modal_sum", lambda w, *a: counted.append(w.size) or modal_sum(w, *a))
+    tables = oracle._tables
+    monkeypatch.setattr(oracle, "_tables", lambda w, p: counted.append(w.size) or tables(w, p))
     return counted
 
 
@@ -59,8 +53,14 @@ def test_return_info_counts_samples(monkeypatch):
     _, info = field_modal_integral(20.0, 24.0, DEFAULT_PARAMS, return_info=True)
     (_, _, n1), (_, _, n2) = _base_intervals(20.0, 24.0, DEFAULT_PARAMS)
     assert info["doublings"] == 1
+    assert info["batch"] == 1
     assert info["samples"] == (2 * n1 + 1) + (2 * n2 + 1)
     assert sum(counted) == info["samples"]
+
+
+def _integrand(omega, t, x, p):
+    """Modal integrand at the frequencies omega, shape (2, n), from the oracle's tables."""
+    return sum(h * np.exp(ik * x - 1j * omega * t) for ik, h in oracle._tables(omega, p))
 
 
 @pytest.mark.parametrize("t, x", [(20.0, 24.0), (30.0, 66.0)])
@@ -77,7 +77,7 @@ def test_nested_blocks_equal_one_shot_trapezoid(t, x):
         h = (hi - lo) / n
         wgt = np.ones(n + 1)
         wgt[[0, -1]] = 0.5
-        raw = raw + h * (oracle._modal_sum(lo + h * np.arange(n + 1) + 1j * eps, x, t, DEFAULT_PARAMS) @ wgt)
+        raw = raw + h * (_integrand(lo + h * np.arange(n + 1) + 1j * eps, t, x, DEFAULT_PARAMS) @ wgt)
     ref = 2.0 * np.real(raw * (1j / (2.0 * math.pi)))
     assert np.max(np.abs(u - ref)) <= 1e-12 * 0.0287
     assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))
@@ -92,6 +92,73 @@ def test_unmet_tolerance_raises_after_every_doubling(monkeypatch):
     assert math.isfinite(err.value.achieved) and err.value.achieved > 0.0
     d = oracle._MAX_REFINEMENT
     assert sum(counted) == sum((n << d) + 1 for _, _, n in _base_intervals(20.0, 24.0, DEFAULT_PARAMS))
+
+
+#: floor-density interior points on one quadrature grid, above-floor interior
+#: points, silent points beyond the front (x > c1 t) and before the impulse
+MIXED = [(20.0, 24.0), (20.0, 10.0), (40.0, 60.0), (220.0, 300.0), (150.0, 100.0),
+         (30.0, 66.0), (10.0, 30.0), (-5.0, 10.0), (-2.0, 2.0)]
+
+
+def _columns(points):
+    return np.array([t for t, _ in points]), np.array([x for _, x in points])
+
+
+def test_array_call_matches_scalar_calls(monkeypatch):
+    tables, kernel = _count_samples(monkeypatch), []
+    modal_sum = oracle._modal_sum
+    monkeypatch.setattr(oracle, "_modal_sum", lambda tb, w, *a: kernel.append(w.size) or modal_sum(tb, w, *a))
+    u, info = field_modal_integral(*_columns(MIXED), DEFAULT_PARAMS, return_info=True)
+    assert u.shape == (len(MIXED), 2) and u.dtype.kind == "f"
+    # the three floor-density interior points share one grid, and so do
+    # (30, 66) and (-2, 2) (eps 10 at the floor density): one set of tables
+    # per grid, while every point evaluates its integrand on all its samples
+    assert [i["batch"] for i in info] == [3, 3, 3, 1, 1, 2, 1, 1, 2]
+    grids = {}
+    for (t, x), row in zip(MIXED, info):
+        eps, _, _, panels = oracle._panels(t, x, DEFAULT_PARAMS)
+        grids[eps, panels] = max(grids.get((eps, panels), 0), row["samples"])
+    assert sum(tables) == sum(grids.values())
+    assert sum(kernel) == sum(i["samples"] for i in info)
+    singles = [field_modal_integral(t, x, DEFAULT_PARAMS, return_info=True) for t, x in MIXED]
+    ref = np.array([v for v, _ in singles])
+    scale = np.max(np.abs(ref[:5]))
+    assert np.max(np.abs(u - ref)) <= 1e-13 * scale
+    for row, (_, single) in zip(info, singles):
+        assert {**row, "batch": 1} == single
+
+
+def test_points_of_one_grid_stop_at_their_own_level(monkeypatch):
+    # with the absolute floor alone, these floor-density points first meet it
+    # after 1, 2 and 3 doublings (Richardson estimates fall 4x per doubling
+    # from 1.4e-9, 8.0e-9 and 1.6e-8): each keeps its own stopping level
+    monkeypatch.setattr(oracle, "_TOL", 0.0)
+    monkeypatch.setattr(oracle, "_ABS_FLOOR", 2.5e-9)
+    points = [(20.0, 24.0), (20.0, 10.0), (60.0, 60.0)]
+    u, info = field_modal_integral(*_columns(points), DEFAULT_PARAMS, return_info=True)
+    assert [i["doublings"] for i in info] == [1, 2, 3]
+    assert [i["batch"] for i in info] == [3, 3, 3]
+    for row, (t, x) in zip(u, points):
+        assert np.array_equal(row, field_modal_integral(t, x, DEFAULT_PARAMS))
+
+
+def test_unmet_tolerance_reported_per_point(monkeypatch):
+    monkeypatch.setattr(oracle, "_TOL", 0.0)
+    monkeypatch.setattr(oracle, "_ABS_FLOOR", 0.0)
+    points = [(20.0, 24.0), (20.0, 10.0), (-5.0, 10.0)]
+    u, info = field_modal_integral(*_columns(points), DEFAULT_PARAMS, return_info=True)
+    assert u.shape == (3, 2) and np.all(np.isnan(u))
+    for row in info:
+        assert isinstance(row["error"], NoConvergence)
+        assert math.isfinite(row["error"].achieved) and row["error"].achieved == row["richardson"]
+        assert row["doublings"] == oracle._MAX_REFINEMENT
+
+
+def test_array_call_rejects_mismatched_shapes():
+    with pytest.raises(ValueError):
+        field_modal_integral(np.array([20.0, 30.0]), np.array([24.0]), DEFAULT_PARAMS)
+    with pytest.raises(ValueError):
+        field_modal_integral(np.array([20.0, 30.0]), np.array([24.0, -1.0]), DEFAULT_PARAMS)
 
 
 def test_silent_before_switch_on():

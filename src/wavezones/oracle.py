@@ -22,6 +22,18 @@ estimate, reported through :class:`NoConvergence` on failure.  Samples are
 evaluated in fixed blocks of :data:`_BLOCK`, small enough that the integrand's
 temporaries stay in cache.
 
+The error estimate, not the base grid, sets each point's density (the
+trapezoid rule converges geometrically on the shifted line; Trefethen &
+Weideman, SIAM Rev. 56, 2014).  So the base grids are coarse: an interior
+point starts at 1.5 samples per unit of its phase rate, at least 300/unit,
+and may double :data:`_MAX_REFINEMENT` = 4 times.  The coarse start costs
+no reach: the finest grid is still 4800/unit at the floor and 24 samples
+per unit of phase rate above it, so :class:`NoConvergence` means that
+density did not suffice.  A silent point starts at a flat 75/unit, because
+its accuracy comes from e^{-eps * slack}, not from the grid.  The interior
+density and the silent eps are rounded up to a sqrt(2) ladder, so that
+nearby points share a grid.
+
 Most of a sample's cost depends on omega alone: the two upper roots k and
 the modal weights A / d_k D.  :func:`field_modal_integral` therefore takes
 arrays of (t, x) as well, and groups the points by their quadrature grid
@@ -66,7 +78,7 @@ __all__ = [
 
 
 #: density doublings attempted before giving up
-_MAX_REFINEMENT = 3
+_MAX_REFINEMENT = 4
 #: relative Richardson target
 _TOL = 3e-4
 #: absolute convergence floor (silent-zone values)
@@ -78,14 +90,21 @@ _ABS_FLOOR = 1e-8
 _BLOCK = 8_192
 
 
+def _sqrt2_ladder(v: float, base: float) -> float:
+    """The smallest base * 2^(j/2), j an integer, that is not below v."""
+    j = math.ceil(2.0 * math.log2(v / base))
+    return base * 2.0 ** (j / 2)
+
+
 def _auto_epsilon(t: float, x: float, c1: float) -> float:
     slack = x / c1 - t
     if t > 0.0 and slack < 0.0:
         return min(1e-3, 0.25 / max(t, 1.0))
-    # silent region: push the contour up until e^{-eps * slack} is negligible
+    # silent region: push the contour up until e^{-eps * slack} is negligible,
+    # on a sqrt(2) ladder so that silent points share grids
     if t <= 0.0:
         slack = abs(t) + x / c1
-    return min(10.0, 30.0 / max(slack, 3.0))
+    return min(10.0, _sqrt2_ladder(30.0 / max(slack, 3.0), 1.0))
 
 
 def _sqrt_upper(r):
@@ -96,16 +115,28 @@ def _sqrt_upper(r):
 def _panels(t: float, x: float, params: WaveguideParams):
     """Quadrature grid of the point (t, x): (eps, w_max, ppu, panels).
 
-    ppu is the base sample density on the outer panel, scaled with the phase
-    rate; the cutoff panel [0, w_split] is always sampled 4x denser.  panels
-    holds each panel's (lo, hi, base interval count).  Points with equal eps
-    and panels sample the same frequencies at every level.
+    ppu is the base sample density on the outer panel; the cutoff panel
+    [0, w_split] is always sampled 4x denser.  panels holds each panel's
+    (lo, hi, base interval count).  Points with equal eps and panels sample
+    the same frequencies at every level.
+
+    The base grid is deliberately coarse and the Richardson test decides how
+    far to refine.  An interior point starts at 1.5 samples per unit of its
+    phase rate x/c2 + |t|, at least 300, rounded up to the ladder
+    300 * 2^(j/2) so that nearby points share a grid; its finest reachable
+    density, ppu * 2^_MAX_REFINEMENT, is thus at least 4800/unit and at least
+    24 (x/c2 + |t|): the coarse start saves samples, not reach.
+    A silent point starts at a flat 75/unit: its large eps makes its value
+    e^{-eps * slack} small whatever the grid.
     """
     cp = crossing_point(params)
     eps = _auto_epsilon(t, x, params.c1)
     w_split = max(8.0, 1.2 * cp.omega_c)
     w_max = max(50.0 * cp.omega_c, w_split + 20.0)
-    ppu = max(600.0, 3.0 * (x / params.c2 + abs(t)))
+    if t > 0.0 and x / params.c1 < t:  # the interior test of _auto_epsilon
+        ppu = _sqrt2_ladder(max(300.0, 1.5 * (x / params.c2 + abs(t))), 300.0)
+    else:
+        ppu = 75.0
     panels = (
         (0.0, w_split, max(64, int(4.0 * ppu * w_split))),
         (w_split, w_max, max(64, int(ppu * (w_max - w_split)))),

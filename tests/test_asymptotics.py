@@ -136,6 +136,24 @@ def test_assembly_against_oracle(t, V, tol):
     assert rel < tol
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="known defect: the V ~ 1.44 rays (SP+SP+Ai) do not contract")
+def test_assembly_error_contracts_just_below_v_min():
+    # Rays just below v_min = 1.44273, where the terms are SP[1] + SP[2] +
+    # Ai[6].  The error over the term envelope sum |2 term| oscillates with t
+    # between 0.002 and 0.094 over t = 150..1200 without decaying, where isolated
+    # saddles contract like x^(-1/2); far values must halve the near ones
+    early, late = (150.0, 200.0, 300.0), (800.0, 1000.0, 1200.0)
+    for V in (1.44, 1.442):
+        ts = np.array(early + late)
+        u = field_modal_integral(ts, V * ts, DEFAULT_PARAMS)
+        err = []
+        for t, ui in zip(ts, u):
+            fv = assemble_field(t, V * t, DEFAULT_PARAMS)
+            err.append(np.max(np.abs(fv.u - ui)) / np.max(sum(np.abs(2.0 * d.value) for d in fv.terms)))
+        assert max(err[3:]) <= 0.5 * max(err[:3])
+
+
 def test_assembly_silent_zones():
     for t, x in ((-5.0, 30.0), (10.0, 25.0)):
         fv = assemble_field(t, x, DEFAULT_PARAMS)

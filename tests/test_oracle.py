@@ -63,6 +63,21 @@ def _integrand(omega, t, x, p):
     return sum(h * np.exp(ik * x - 1j * omega * t) for ik, h in oracle._tables(omega, p))
 
 
+def _one_shot(t, x, p, doublings):
+    """Plain trapezoid of the modal integrand on the point's grid after the
+    given number of doublings, with the oracle's eps, w_max and tail."""
+    eps, w_max, _, panels = oracle._panels(t, x, p)
+    raw = oracle._tail_correction(w_max + 1j * eps, t, x, p)
+    for lo, hi, n in panels:
+        n <<= doublings
+        h = (hi - lo) / n
+        for j0 in range(0, n + 1, 1 << 16):
+            j = np.arange(j0, min(j0 + (1 << 16), n + 1))
+            wgt = np.where((j == 0) | (j == n), 0.5, 1.0)
+            raw = raw + h * (_integrand(lo + h * j + 1j * eps, t, x, p) @ wgt)
+    return 2.0 * np.real(raw * (1j / (2.0 * math.pi)))
+
+
 @pytest.mark.parametrize("t, x", [(20.0, 24.0), (30.0, 66.0)])
 def test_nested_blocks_equal_one_shot_trapezoid(t, x):
     # interior and silent (x > c1 t) point: the nested, blocked sums are the
@@ -70,17 +85,53 @@ def test_nested_blocks_equal_one_shot_trapezoid(t, x):
     # The silent value is a cancellation ~1e-20, so it is held to the field
     # scale of the interior point, max|u| = 0.0287, and, looser, to its own size
     u, info = field_modal_integral(t, x, DEFAULT_PARAMS, return_info=True)
-    eps, w_max, d = info["epsilon"], info["omega_max"], info["doublings"]
-    raw = oracle._tail_correction(w_max + 1j * eps, t, x, DEFAULT_PARAMS)
-    for lo, hi, n in _base_intervals(t, x, DEFAULT_PARAMS):
-        n <<= d
-        h = (hi - lo) / n
-        wgt = np.ones(n + 1)
-        wgt[[0, -1]] = 0.5
-        raw = raw + h * (_integrand(lo + h * np.arange(n + 1) + 1j * eps, t, x, DEFAULT_PARAMS) @ wgt)
-    ref = 2.0 * np.real(raw * (1j / (2.0 * math.pi)))
+    ref = _one_shot(t, x, DEFAULT_PARAMS, info["doublings"])
     assert np.max(np.abs(u - ref)) <= 1e-12 * 0.0287
     assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def _mu(mu):
+    return validate(WaveguideParams(c1=2.0, c2=1.8, omega1=3.0, omega2=3.5, mu=mu))
+
+
+#: (params, t, x): interior points at the floor density and above it, near
+#: the front (V = 1.81, 1.95), silent before the impulse and beyond c1
+#: (V = 2.001 is loud: eps = 10 barely damps it), and weak and strong coupling
+ACCURACY = [
+    (DEFAULT_PARAMS, 20.0, 24.0), (DEFAULT_PARAMS, 60.0, 60.0),
+    (DEFAULT_PARAMS, 150.0, 100.0), (DEFAULT_PARAMS, 220.0, 300.0),
+    (DEFAULT_PARAMS, 60.0, 108.6), (DEFAULT_PARAMS, 40.0, 78.0),
+    (DEFAULT_PARAMS, -5.0, 10.0), (DEFAULT_PARAMS, 30.0, 66.0), (DEFAULT_PARAMS, 50.0, 100.05),
+    (_mu(0.05), 60.0, 60.0), (_mu(1.2), 60.0, 60.0), (_mu(1.2), 40.0, 76.0),
+]
+
+
+@pytest.mark.parametrize("p, t, x", ACCURACY, ids=[f"mu{p.mu}-{t}-{x}" for p, t, x in ACCURACY])
+def test_value_within_tolerance_of_a_four_times_denser_trapezoid(p, t, x):
+    # an error check that does not rest on the Richardson estimate: the
+    # returned value against one plain trapezoid at 4x the final density
+    u, info = field_modal_integral(t, x, p, return_info=True)
+    ref = _one_shot(t, x, p, info["doublings"] + 2)
+    assert np.max(np.abs(u - ref)) <= max(oracle._TOL * np.max(np.abs(u)), oracle._ABS_FLOOR)
+
+
+def test_interior_points_refine_to_4800_per_unit_at_least():
+    # the coarser start keeps the finest reachable interior density
+    ppu = oracle._panels(20.0, 24.0, DEFAULT_PARAMS)[2]
+    assert ppu * 2**oracle._MAX_REFINEMENT == 4800.0
+    for t, x in [(150.0, 100.0), (220.0, 300.0), (40.0, 78.0)]:
+        ppu = oracle._panels(t, x, DEFAULT_PARAMS)[2]
+        assert ppu * 2**oracle._MAX_REFINEMENT >= 24.0 * (x / DEFAULT_PARAMS.c2 + t)
+
+
+def test_field_grid_falls_on_few_quadrature_grids():
+    # the density and silent eps ladders let the 6x5 field grid share tables
+    grids = set()
+    for t in np.linspace(30.0, 220.0, 6):
+        for V in np.linspace(0.65, 2.2, 5):
+            eps, w_max, _, panels = oracle._panels(t, V * t, DEFAULT_PARAMS)
+            grids.add((eps, w_max, panels))
+    assert len(grids) <= 10
 
 
 def test_unmet_tolerance_raises_after_every_doubling(monkeypatch):
@@ -130,13 +181,14 @@ def test_array_call_matches_scalar_calls(monkeypatch):
 
 def test_points_of_one_grid_stop_at_their_own_level(monkeypatch):
     # with the absolute floor alone, these floor-density points first meet it
-    # after 1, 2 and 3 doublings (Richardson estimates fall 4x per doubling
-    # from 1.4e-9, 8.0e-9 and 1.6e-8): each keeps its own stopping level
+    # after 2, 3 and 4 doublings (Richardson estimates of 7.7e-8, 5.5e-8 and
+    # 1.4e-7 at the first doubling, then falling 4x per doubling from 1.4e-9,
+    # 8.0e-9 and 1.6e-8): each keeps its own stopping level
     monkeypatch.setattr(oracle, "_TOL", 0.0)
     monkeypatch.setattr(oracle, "_ABS_FLOOR", 2.5e-9)
     points = [(20.0, 24.0), (20.0, 10.0), (60.0, 60.0)]
     u, info = field_modal_integral(*_columns(points), DEFAULT_PARAMS, return_info=True)
-    assert [i["doublings"] for i in info] == [1, 2, 3]
+    assert [i["doublings"] for i in info] == [2, 3, 4]
     assert [i["batch"] for i in info] == [3, 3, 3]
     for row, (t, x) in zip(u, points):
         assert np.array_equal(row, field_modal_integral(t, x, DEFAULT_PARAMS))

@@ -25,6 +25,7 @@ a single positive (omega, k) returned by :func:`crossing_point`.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import warnings
@@ -250,10 +251,12 @@ class CrossingPoint:
     v_slow: float
 
 
+@functools.lru_cache(maxsize=64)
 def crossing_point(params: WaveguideParams) -> CrossingPoint:
     """Solve omega^2 = omega_j^2 + c_j^2 k^2 simultaneously for both layers.
 
     Exists (at k > 0) iff c1 != c2 and omega2 > omega1; independent of mu.
+    Cached per parameter set (the record is frozen, so callers share it).
     """
     dc2 = params.c1**2 - params.c2**2
     if dc2 == 0.0:

@@ -182,8 +182,11 @@ def find_complex_saddles(V: float, params: WaveguideParams):
         qty = (1.0 / e.v_e - 1.0 / V) / e.cubic_coeff
         if qty >= 0.0:
             continue  # pair is real (or exactly merged) on this side
+        # the seed omega_e + i sign sqrt(qty) with sign = -sign(c3) continues
+        # to the Im g > 0 member; the other sign is the fallback
+        first = -math.copysign(1.0, e.cubic_coeff)
         root = None
-        for sign in (+1.0, -1.0):
+        for sign in (first, -first):
             root = _continue_complex(e, V, sign, params)
             if root is not None:
                 w, k, d = root

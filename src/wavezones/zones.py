@@ -17,11 +17,21 @@ each cluster is then read as a letter:
 Links use the phase difference for adjacent real families, the pulse
 argument b for the crossing pair, and the decay exponent for complex
 saddles; all compared against the same dimensionless threshold S.
+
+On a ray x = V t each of these links is linear in t, so a V row has only a
+handful of distinct labels.  Classification is therefore split in three:
+:func:`_row` gathers, once per V, everything that does not depend on t (the
+saddles, the extrema, the omega-ordered pairs, whether the crossing link can
+fire, the Airy-pocket and decay coefficients); :func:`_state` evaluates the
+links at one t as a tuple of booleans, each with the floating-point
+expression of the per-point test; :func:`_label` runs the cluster and letter
+logic once per distinct state and memoizes the result in the row.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -29,8 +39,8 @@ import numpy as np
 from .asymptotics import TermDescriptor
 from .dispersion import group_velocity_extrema
 from .errors import ExtremumNotFound, UnknownLabel
-from .model import WaveguideParams, crossing_point, j_parameters
-from .saddle import find_complex_saddles, find_real_saddles, phase_difference
+from .model import WaveguideParams, crossing_point
+from .saddle import find_complex_saddles, find_real_saddles
 
 __all__ = [
     "ZoneLabel",
@@ -104,67 +114,72 @@ class _UnionFind:
         return list(groups.values())
 
 
-def classify(t: float, V: float, params: WaveguideParams, S: float = 3.0):
-    """Classify the point (t, x = V t); returns (ZoneLabel, term descriptors).
+@dataclasses.dataclass
+class _Row:
+    """What the classification of one V row depends on apart from t and S.
 
-    The descriptors carry structure only (kind, saddle families, extremum
-    record); values are filled by asymptotics.assemble_field.
+    real_ids and complex_ids are the saddle families present, in order;
+    phases holds (k_a, omega_a, k_b, omega_b) of each omega-adjacent real
+    pair other than {1, 3}, pair_ids their family indices; crossing holds
+    (mu, v_fast, v_slow, denominator of b) when the crossing link can fire;
+    loose holds (extremum, |c3|, |1/V - 1/v_e|) of each extremum whose Airy
+    node stands in for an unresolved pair once its pocket is reached;
+    shadow holds (index, extremum, Im g) of each complex saddle.  memo maps
+    a link state to its (ZoneLabel, descriptor templates).
     """
-    if S <= 0.0:
-        raise ValueError("threshold S must be positive")
-    if t <= 0.0 or V >= params.c1:
-        return ZoneLabel("zero", (), 0, None), []
-    x = V * t
 
+    V: float
+    real_ids: tuple
+    complex_ids: tuple
+    ext_by_pair: dict
+    crossing: tuple | None
+    pair_ids: tuple
+    phases: tuple
+    loose: tuple
+    shadow: tuple
+    memo: dict
+
+
+_ZERO = ZoneLabel("zero", (), 0, None)
+
+
+@functools.lru_cache(maxsize=64)
+def _row(V: float, params: WaveguideParams):
+    """The row record at speed V; None when every t > 0 is zero.
+
+    Cached for the 64 most recent speeds: a ray or a diagram row reuses
+    one record, and a sweep over V keeps only a few rows alive.
+    """
+    if V >= params.c1:
+        return None
     reals = {s.index: s for s in find_real_saddles(V, params)}
     complexes = {s.index: s for s in find_complex_saddles(V, params)}
     try:
         extrema = group_velocity_extrema(params)
     except ExtremumNotFound:
         extrema = ()
-    ext_by_pair = {}
-    for e in extrema:
-        ext_by_pair[(3, 4) if e.kind == "min" else (2, 3)] = e
-
+    ext_by_pair = {((3, 4) if e.kind == "min" else (2, 3)): e for e in extrema}
     if not reals:
-        return ZoneLabel("zero", (), 0, None), []
+        return None
 
     # crossing link: families 1 and 3 share the exchange-pulse region when
-    # the point is strictly inside the wedge and the pulse argument is small
+    # the point is strictly inside the wedge and the pulse argument b is
+    # small.  _state evaluates b with model.j_parameters' expression and this
+    # precomputed denominator: a j_parameters call per state costs 3x more
     cp = crossing_point(params)
-    in_wedge = x / cp.v_fast < t < x / cp.v_slow
-    crossing_linked = False
-    if params.mu > 0.0 and in_wedge and 1 in reals:
-        crossing_linked = j_parameters(t, x, params).b < S
+    crossing = None
+    if params.mu > 0.0 and 1 in reals:
+        inv_gap = 1.0 / cp.v_slow - 1.0 / cp.v_fast
+        crossing = (params.mu, cp.v_fast, cp.v_slow, params.c1 * params.c2 * cp.k_c * inv_gap)
 
-    uf = _UnionFind(reals.keys())
+    # the crossing pair is linked by b, never by phase
     ordered = sorted(reals.values(), key=lambda s: s.omega_star.real)
-    for a, b in zip(ordered[:-1], ordered[1:]):
-        if {a.index, b.index} == {1, 3}:
-            continue  # the crossing pair is linked by b, never by phase
-        if phase_difference(a, b, t, x) < S:
-            uf.union(a.index, b.index)
-    if crossing_linked and 3 in reals:
-        uf.union(1, 3)
-
-    clusters = sorted(uf.clusters(), key=min)
-    all_ids = set(reals.keys())
-
-    # Airy pocket of each extremum, from the local cubic model: the merge
-    # phase is (4/3)|s|^{3/2} with s the scaled Airy argument.  This metric
-    # needs no saddles, so it still fires at V = v_e exactly, where the
-    # double root defeats the saddle finder.
-    pocket = {}
-    for pair, e in ext_by_pair.items():
-        s_abs = (x * x / abs(e.cubic_coeff)) ** (1.0 / 3.0) * abs(1.0 / V - 1.0 / e.v_e)
-        pocket[pair] = (4.0 / 3.0) * s_abs**1.5 < S
+    pairs = [(a, b) for a, b in zip(ordered[:-1], ordered[1:]) if {a.index, b.index} != {1, 3}]
 
     # pocket-active extrema whose pair is unresolved (V = v_e exactly: the
     # pair is neither real nor complex) get their Airy node directly
-    loose_ai: list[object] = []
+    loose = []
     for pair, e in ext_by_pair.items():
-        if not pocket[pair]:
-            continue
         # only on the side of v_e where this extremum's pair leaves the real
         # axis; elsewhere a missing member is another transition's doing
         if e.kind == "min" and V > e.v_e:
@@ -173,8 +188,65 @@ def classify(t: float, V: float, params: WaveguideParams, S: float = 3.0):
             continue
         partner = 6 if e.kind == "min" else 5
         if any(i in reals for i in pair) or partner in complexes:
-            continue  # handled through clusters / complex branch below
-        loose_ai.append(e)
+            continue  # handled through clusters / complex branch
+        loose.append((e, abs(e.cubic_coeff), abs(1.0 / V - 1.0 / e.v_e)))
+
+    shadow = []
+    for i, sc in sorted(complexes.items()):
+        g = sc.k_star - sc.omega_star / sc.V
+        e = next((e for e in extrema if (6 if e.kind == "min" else 5) == i), None)
+        shadow.append((i, e, g.imag))
+
+    return _Row(
+        V=V,
+        real_ids=tuple(sorted(reals)),
+        complex_ids=tuple(sorted(complexes)),
+        ext_by_pair=ext_by_pair,
+        crossing=crossing,
+        pair_ids=tuple((a.index, b.index) for a, b in pairs),
+        phases=tuple((a.k_star.real, a.omega_star.real, b.k_star.real, b.omega_star.real) for a, b in pairs),
+        loose=tuple(loose),
+        shadow=tuple(shadow),
+        memo={},
+    )
+
+
+def _state(row: _Row, t: float, S: float):
+    """Link booleans at (t, x = V t): (crossing, phase links, pockets, decays).
+
+    Each test is the floating-point expression the per-point classification
+    has always used, so a state reproduces its labels exactly.
+    """
+    x = row.V * t
+    crossing = False
+    if row.crossing is not None:
+        mu, v_fast, v_slow, den = row.crossing
+        if x / v_fast < t < x / v_slow:
+            crossing = mu * math.sqrt((t - x / v_fast) * (x / v_slow - t)) / den < S
+    # phase gap |Re phi_a - Re phi_b| with phi = k x - omega t
+    links = tuple([abs((ka * x - wa * t) - (kb * x - wb * t)) < S for ka, wa, kb, wb in row.phases])
+    # Airy pocket from the local cubic model: the merge phase is
+    # (4/3)|s|^{3/2} with s the scaled Airy argument.  This metric needs no
+    # saddles, so it still fires at V = v_e exactly, where the double root
+    # defeats the saddle finder.
+    pockets = tuple([(4.0 / 3.0) * ((x * x / c3) ** (1.0 / 3.0) * gap) ** 1.5 < S for _, c3, gap in row.loose])
+    # complex decay 2 x Im g
+    decays = tuple([2.0 * x * im < S for _, _, im in row.shadow])
+    return crossing, links, pockets, decays
+
+
+def _label(row: _Row, state) -> tuple[ZoneLabel, tuple[TermDescriptor, ...]]:
+    """Cluster the linked families of one state and read them as letters."""
+    crossing_linked, links, pockets, decays = state
+
+    uf = _UnionFind(row.real_ids)
+    for (a, b), linked in zip(row.pair_ids, links):
+        if linked:
+            uf.union(a, b)
+    if crossing_linked and 3 in row.real_ids:
+        uf.union(1, 3)
+    clusters = sorted(uf.clusters(), key=min)
+    all_ids = set(row.real_ids)
 
     descriptors: list[TermDescriptor] = []
     letters: set[str] = set()
@@ -199,30 +271,27 @@ def classify(t: float, V: float, params: WaveguideParams, S: float = 3.0):
         elif ids in ((1, 2, 3), (1, 3, 4)) and crossing_linked:
             descriptors.append(TermDescriptor("Q", saddles=ids))
             letters.add("Q")
-        elif ids in ((2, 3), (3, 4)) and ids in ext_by_pair:
-            descriptors.append(TermDescriptor("Ai", saddles=ids, extremum=ext_by_pair[ids]))
+        elif ids in ((2, 3), (3, 4)) and ids in row.ext_by_pair:
+            descriptors.append(TermDescriptor("Ai", saddles=ids, extremum=row.ext_by_pair[ids]))
             letters.add("Ai")
         else:
             bail_to_b = True
             break
 
-    for e in loose_ai:
-        if not bail_to_b:
+    if bail_to_b:
+        label = ZoneLabel("B", ("B",), 0, _PARENT["B"])
+        ids = row.real_ids + row.complex_ids
+        return label, (TermDescriptor("B", saddles=ids, note="no usable simplification"),)
+
+    for (e, _, _), active in zip(row.loose, pockets):
+        if active:
             descriptors.append(TermDescriptor("Ai", saddles=(), extremum=e, note="unresolved pair"))
             letters.add("Ai")
 
-    if bail_to_b:
-        label = ZoneLabel("B", ("B",), 0, _PARENT["B"])
-        ids = tuple(sorted(all_ids)) + tuple(sorted(complexes))
-        return label, [TermDescriptor("B", saddles=ids, note="no usable simplification")]
-
     # complex saddles: near their extremum they belong to the Airy
     # neighborhood, far from it they are exponentially small SPe terms
-    for i, sc in sorted(complexes.items()):
-        g = sc.k_star - sc.omega_star / sc.V
-        decay = 2.0 * x * g.imag
-        e = next((e for e in extrema if (6 if e.kind == "min" else 5) == i), None)
-        if e is not None and decay < S:
+    for (i, e, _), near in zip(row.shadow, decays):
+        if e is not None and near:
             descriptors.append(TermDescriptor("Ai", saddles=(i,), extremum=e, note="shadow side"))
             letters.add("Ai")
         else:
@@ -235,7 +304,35 @@ def classify(t: float, V: float, params: WaveguideParams, S: float = 3.0):
         primary = next(k for k in _PRECEDENCE if k in letters)
     ordered_letters = tuple(k for k in _PRECEDENCE if k in letters)
     sp_count = sum(len(d.saddles) for d in descriptors if d.kind in ("SP", "SPe"))
-    return ZoneLabel(primary, ordered_letters, sp_count, _PARENT[primary]), descriptors
+    return ZoneLabel(primary, ordered_letters, sp_count, _PARENT[primary]), tuple(descriptors)
+
+
+def _at(row: _Row | None, t: float, S: float):
+    """(ZoneLabel, descriptor templates) at t > 0 on a row, memoized per state."""
+    if row is None:
+        return _ZERO, ()
+    state = _state(row, t, S)
+    hit = row.memo.get(state)
+    if hit is None:
+        hit = row.memo[state] = _label(row, state)
+    return hit
+
+
+def classify(t: float, V: float, params: WaveguideParams, S: float = 3.0):
+    """Classify the point (t, x = V t); returns (ZoneLabel, term descriptors).
+
+    The V row record (saddles, extrema, pairs, rates) is built once per V
+    and cached; the link state at t selects a label memoized in the row.
+    The descriptors carry structure only (kind, saddle families, extremum
+    record) and are fresh copies on every call: asymptotics.assemble_field
+    fills their values.
+    """
+    if S <= 0.0:
+        raise ValueError("threshold S must be positive")
+    if t <= 0.0 or V >= params.c1:
+        return _ZERO, []
+    label, templates = _at(_row(V, params), t, S)
+    return label, [TermDescriptor(d.kind, d.saddles, note=d.note, extremum=d.extremum) for d in templates]
 
 
 # ---------------------------------------------------------------------------
@@ -256,16 +353,21 @@ class ZoneDiagram:
 def zone_diagram(params: WaveguideParams, t_range, v_range, shape=(60, 60), S: float = 3.0) -> ZoneDiagram:
     """Classify a (t, V) grid and locate zone boundaries along each V row.
 
-    Boundary points are bisected to 1e-3 relative accuracy in t.  The
-    monotone flag reports whether every (left,right) label transition
-    occurs at most once per row, the structure the threshold metrics
-    (all increasing in t at fixed V) imply.
+    Each V row builds its row record once; every grid point, and every
+    bisection step, then costs one link state and a memo lookup, exactly
+    what :func:`classify` returns there.  Boundary points are bisected on
+    that state to 1e-3 relative accuracy in t.  The monotone flag reports
+    whether every (left,right) label transition occurs at most once per
+    row, the structure the threshold metrics (all increasing in t at fixed
+    V) imply.
     """
     nt, nv = shape
     t_lo, t_hi = t_range
     v_lo, v_hi = v_range
     if not (t_hi > t_lo > 0.0 and v_hi > v_lo > 0.0):
         raise ValueError("ranges must be positive and increasing")
+    if S <= 0.0:
+        raise ValueError("threshold S must be positive")
     t_grid = np.linspace(t_lo, t_hi, nt)
     v_grid = np.linspace(v_lo, v_hi, nv)
 
@@ -273,7 +375,8 @@ def zone_diagram(params: WaveguideParams, t_range, v_range, shape=(60, 60), S: f
     boundaries: dict[tuple[str, str], list[tuple[float, float]]] = {}
     monotone = True
     for V in v_grid:
-        row = [classify(float(tt), float(V), params, S)[0].primary for tt in t_grid]
+        rec = _row(float(V), params)
+        row = [_at(rec, float(tt), S)[0].primary for tt in t_grid]
         labels.append(row)
         seen: set[tuple[str, str]] = set()
         for j in range(nt - 1):
@@ -283,7 +386,7 @@ def zone_diagram(params: WaveguideParams, t_range, v_range, shape=(60, 60), S: f
             left = row[j]
             while (hi - lo) > 1e-3 * hi:
                 mid = 0.5 * (lo + hi)
-                if classify(mid, float(V), params, S)[0].primary == left:
+                if _at(rec, mid, S)[0].primary == left:
                     lo = mid
                 else:
                     hi = mid

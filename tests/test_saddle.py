@@ -1,6 +1,7 @@
 """Stationary-point location on both branches, real and complex."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ from hypothesis import assume, given, strategies as st
 
 from wavezones import dispersion, saddle
 from wavezones.dispersion import group_velocity, group_velocity_extrema
-from wavezones.errors import ExtremumNotFound
-from wavezones.model import DEFAULT_PARAMS, dispersion_D
+from wavezones.errors import ExtremumNotFound, NoConvergence
+from wavezones.model import DEFAULT_PARAMS, crossing_point, dispersion_D
 from wavezones.saddle import find_complex_saddles, find_real_saddles, phase_difference
+from wavezones.zones import _row
 
 V_WINDOW = (1.4427260773697537, 1.4979219866980635)  # slow/fast velocity extrema
 
@@ -131,7 +133,7 @@ def test_velocity_attribute_recorded():
 
 
 def test_one_cache_layer():
-    for fn in (find_real_saddles, find_complex_saddles, group_velocity_extrema, saddle._vg_segments):
+    for fn in (find_real_saddles, find_complex_saddles, group_velocity_extrema, saddle._vg_segments, crossing_point, _row):
         assert fn.cache_info().maxsize > 0
         assert not hasattr(fn.__wrapped__, "cache_info"), fn.__name__
 
@@ -153,3 +155,69 @@ def test_real_saddles_evaluate_the_branch_pointwise(monkeypatch):
     for V in np.linspace(0.3123456, 1.9123456, 20):
         find_real_saddles(float(V), DEFAULT_PARAMS)
     assert shapes and set(shapes) == {0}
+
+
+def _complex_side_ladder(p):
+    """(extremum, V) on the side of each extremum where its pair is complex."""
+    for e in group_velocity_extrema(p):
+        out = 1.0 if e.kind == "max" else -1.0
+        for f in (1e-9, 1e-6, 1e-4, 1e-2, 0.05, 0.1, 0.2):
+            V = e.v_e * (1.0 + out * f)
+            if V < p.c1:
+                yield e, V
+
+
+@pytest.mark.parametrize("mu", [0.05, 0.3, 1.0])
+def test_preferred_sign_continues_to_the_decaying_member(mu):
+    p = dataclasses.replace(DEFAULT_PARAMS, mu=mu)
+    for e, V in _complex_side_ladder(p):
+        w, k, _ = saddle._continue_complex(e, V, -math.copysign(1.0, e.cubic_coeff), p)
+        assert (k - w / V).imag > 0.0, (mu, e.kind, V)
+
+
+@pytest.mark.parametrize("first_attempt", ["fails", "discarded"])
+def test_other_sign_is_the_fallback(monkeypatch, first_attempt):
+    # the first attempt returns None, or runs the other sign and lands on
+    # the Im g < 0 member; the fallback attempt runs the preferred sign, so
+    # the kept root must come back through it unchanged
+    p = dataclasses.replace(DEFAULT_PARAMS, mu=0.3)
+    ladder = list(_complex_side_ladder(p))
+    find_complex_saddles.cache_clear()
+    want = {V: find_complex_saddles(V, p) for _, V in ladder}
+    original = saddle._continue_complex
+    calls = []
+
+    def flipped(e, V, sign, params):
+        calls.append(sign)
+        if len(calls) % 2 == 1 and first_attempt == "fails":
+            return None
+        return original(e, V, -sign, params)
+
+    monkeypatch.setattr(saddle, "_continue_complex", flipped)
+    find_complex_saddles.cache_clear()
+    try:
+        for e, V in ladder:
+            calls.clear()
+            assert find_complex_saddles(V, p) == want[V]
+            assert calls == [-math.copysign(1.0, e.cubic_coeff), math.copysign(1.0, e.cubic_coeff)]
+    finally:
+        find_complex_saddles.cache_clear()
+
+
+def test_both_signs_failing_raises(monkeypatch):
+    p = dataclasses.replace(DEFAULT_PARAMS, mu=0.3)
+    original = saddle._continue_complex
+
+    # each sign on its own: the preferred one fails, the other one yields the
+    # Im g < 0 member, which is never kept
+    def preferred_fails(e, V, sign, params):
+        return None if sign == -math.copysign(1.0, e.cubic_coeff) else original(e, V, sign, params)
+
+    for patched in (preferred_fails, lambda e, V, sign, params: None):
+        monkeypatch.setattr(saddle, "_continue_complex", patched)
+        find_complex_saddles.cache_clear()
+        try:
+            with pytest.raises(NoConvergence):
+                find_complex_saddles(1.0, p)
+        finally:
+            find_complex_saddles.cache_clear()

@@ -173,3 +173,159 @@ def test_threshold_knob_moves_boundaries():
     lab_strict, _ = classify(t, 0.8, DEFAULT_PARAMS, S=40.0)
     order = {"B": 0, "Q": 1, "J": 2, "Ai": 3, "SP": 4, "SPe": 4}
     assert order[lab_strict.primary] <= order[lab_loose.primary]
+
+
+# ---------------------------------------------------------------------------
+# the row path against a per-point reference
+
+
+def _reference_classify(t, V, params, S):
+    """Per-point classification as it stood before the row record: every
+    saddle, extremum and link rebuilt from scratch at (t, V)."""
+    from wavezones.dispersion import group_velocity_extrema
+    from wavezones.errors import ExtremumNotFound
+    from wavezones.model import crossing_point, j_parameters
+    from wavezones.saddle import find_complex_saddles, find_real_saddles, phase_difference
+
+    if t <= 0.0 or V >= params.c1:
+        return "zero", ()
+    x = V * t
+    reals = {s.index: s for s in find_real_saddles(V, params)}
+    complexes = {s.index: s for s in find_complex_saddles(V, params)}
+    try:
+        extrema = group_velocity_extrema(params)
+    except ExtremumNotFound:
+        extrema = ()
+    ext_by_pair = {((3, 4) if e.kind == "min" else (2, 3)): e for e in extrema}
+    if not reals:
+        return "zero", ()
+    cp = crossing_point(params)
+    crossing = (
+        params.mu > 0.0 and x / cp.v_fast < t < x / cp.v_slow and 1 in reals and j_parameters(t, x, params).b < S
+    )
+    up = {i: i for i in reals}
+
+    def find(i):
+        while up[i] != i:
+            i = up[i]
+        return i
+
+    ordered = sorted(reals.values(), key=lambda s: s.omega_star.real)
+    for a, b in zip(ordered[:-1], ordered[1:]):
+        if {a.index, b.index} != {1, 3} and phase_difference(a, b, t, x) < S:
+            up[find(a.index)] = find(b.index)
+    if crossing and 3 in reals:
+        up[find(1)] = find(3)
+    clusters = {}
+    for i in reals:
+        clusters.setdefault(find(i), set()).add(i)
+    loose = []
+    for pair, e in ext_by_pair.items():
+        s_abs = (x * x / abs(e.cubic_coeff)) ** (1.0 / 3.0) * abs(1.0 / V - 1.0 / e.v_e)
+        wrong_side = V > e.v_e if e.kind == "min" else V < e.v_e
+        partner = 6 if e.kind == "min" else 5
+        resolved = any(i in reals for i in pair) or partner in complexes
+        if (4.0 / 3.0) * s_abs**1.5 < S and not wrong_side and not resolved:
+            loose.append(("Ai", (), "unresolved pair", e))
+    out = []
+    for cl in sorted(clusters.values(), key=min):
+        ids = tuple(sorted(cl))
+        if len(cl) >= 2 and cl == set(reals):
+            out = None
+            break
+        if len(cl) == 1:
+            out.append(("J", ids, "crossing ghost", None) if crossing and ids == (1,) else ("SP", ids, "", None))
+        elif ids == (1, 3):
+            out.append(("J", ids, "", None))
+        elif ids in ((1, 2, 3), (1, 3, 4)) and crossing:
+            out.append(("Q", ids, "", None))
+        elif ids in ((2, 3), (3, 4)) and ids in ext_by_pair:
+            out.append(("Ai", ids, "", ext_by_pair[ids]))
+        else:
+            out = None
+            break
+    if out is None:
+        ids = tuple(sorted(reals)) + tuple(sorted(complexes))
+        return "B", (("B", ids, "no usable simplification", None),)
+    out += loose
+    for i, sc in sorted(complexes.items()):
+        decay = 2.0 * x * (sc.k_star - sc.omega_star / sc.V).imag
+        e = next((e for e in extrema if (6 if e.kind == "min" else 5) == i), None)
+        out.append(("Ai", (i,), "shadow side", e) if e is not None and decay < S else ("SPe", (i,), "", None))
+    kinds = {k for k, *_ in out}
+    primary = "Q" if "Q" in kinds else next(k for k in ("B", "Q", "J", "Ai", "SP", "SPe") if k in kinds)
+    return primary, tuple(out)
+
+
+def _edge_rows(params):
+    """(V_lo, V_hi) pairs that zone_diagram samples exactly (a 2-row grid):
+    the wedge edges, c2 and one ulp below c1, and the extremum speeds."""
+    import math
+
+    from wavezones.dispersion import group_velocity_extrema
+    from wavezones.errors import ExtremumNotFound
+    from wavezones.model import crossing_point
+
+    cp = crossing_point(params)
+    rows = [(cp.v_slow, cp.v_fast), (params.c2, math.nextafter(params.c1, 0.0))]
+    try:
+        lo, hi = sorted(e.v_e for e in group_velocity_extrema(params))
+    except ExtremumNotFound:
+        return rows
+    # both extremum speeds exactly, and two rays inside the window
+    return rows + [(lo, hi), (0.75 * lo + 0.25 * hi, 0.25 * lo + 0.75 * hi)]
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.05, 0.5])
+@pytest.mark.parametrize("S", [0.5, 3.0, 40.0])
+def test_row_path_matches_per_point_reference(mu, S):
+    import dataclasses
+
+    params = dataclasses.replace(DEFAULT_PARAMS, mu=mu)
+    unresolved = 0
+    for v_range in _edge_rows(params):
+        dg = zone_diagram(params, (2.0, 600.0), v_range, shape=(48, 2), S=S)
+        assert list(dg.v_grid) == list(v_range)
+        for V, row in zip(dg.v_grid, dg.labels):
+            want = [_reference_classify(float(t), float(V), params, S) for t in dg.t_grid]
+            assert row == [w[0] for w in want], (V, S)
+            for t, (primary, terms) in zip(dg.t_grid, want):
+                lab, descs = classify(float(t), float(V), params, S)
+                assert lab.primary == primary
+                got = tuple((d.kind, d.saddles, d.note, d.extremum) for d in descs)
+                assert got == terms, (float(t), float(V))
+                unresolved += sum(d.note == "unresolved pair" for d in descs)
+            # boundaries: the same bisection on the reference labels
+            for j in range(len(row) - 1):
+                if row[j] == row[j + 1]:
+                    continue
+                lo, hi = float(dg.t_grid[j]), float(dg.t_grid[j + 1])
+                while (hi - lo) > 1e-3 * hi:
+                    mid = 0.5 * (lo + hi)
+                    if _reference_classify(mid, float(V), params, S)[0] == row[j]:
+                        lo = mid
+                    else:
+                        hi = mid
+                assert (0.5 * (lo + hi), float(V)) in dg.boundaries[(row[j], row[j + 1])]
+    # at V == v_e exactly the merging pair is neither real nor complex, and
+    # the pocket test alone places its Airy node
+    assert (unresolved > 0) == (mu > 0.0)
+
+
+def test_classify_returns_fresh_descriptors():
+    a = classify(20.0, 0.8, DEFAULT_PARAMS)[1]
+    b = classify(20.0, 0.8, DEFAULT_PARAMS)[1]
+    assert [d.kind for d in a] == [d.kind for d in b]
+    a[0].value = np.ones(2, dtype=complex)
+    assert a[0] is not b[0] and b[0].value is None
+    assert classify(20.0, 0.8, DEFAULT_PARAMS)[1][0].value is None
+
+
+def test_non_positive_threshold_rejected():
+    for S in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            classify(20.0, 0.8, DEFAULT_PARAMS, S=S)
+        with pytest.raises(ValueError):
+            classify(-1.0, 3.0, DEFAULT_PARAMS, S=S)
+        with pytest.raises(ValueError):
+            zone_diagram(DEFAULT_PARAMS, (1.0, 10.0), (0.5, 1.0), shape=(3, 3), S=S)

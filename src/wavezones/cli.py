@@ -5,9 +5,10 @@ Subcommands: ``dispersion`` (branch tables / two-panel figure), ``zones``
 per-term breakdown), ``compare`` (acceptance report), ``scalar``
 (single-layer reference diagram and field).
 
-Every file output starts with a config-echo header; CSV cells are written
-with 17 significant digits and LF line endings so reruns are byte-identical.
-Exit code 0 means every requested computation converged.
+Each subcommand takes only the options it reads.  Every file output starts
+with a config-echo header listing them; CSV cells are written with 17
+significant digits and LF line endings so reruns are byte-identical.  Exit
+code 0 means every requested computation converged; 2 means bad input.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -45,6 +46,36 @@ def _parse_grid(text: str) -> tuple[int, int]:
     if n < 1 or m < 1:
         raise argparse.ArgumentTypeError("grid dimensions must be positive")
     return n, m
+
+
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _positive(text: str) -> float:
+    value = _finite(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def _window_error(args: argparse.Namespace) -> str | None:
+    """The (t, V) range rule of zones and field, which spans two options."""
+    if args.command not in ("zones", "field"):
+        return None
+    for axis in ("t", "v"):
+        lo, hi = getattr(args, f"{axis}_min"), getattr(args, f"{axis}_max")
+        if args.command == "zones" and not 0.0 < lo < hi:
+            return f"argument --{axis}-min/--{axis}-max: need 0 < min < max, got {lo!r} and {hi!r}"
+        if args.command == "field" and not min(lo, hi) > 0.0:
+            return f"argument --{axis}-min/--{axis}-max: need both positive, got {lo!r} and {hi!r}"
+    return None
 
 
 def _config_echo(args: argparse.Namespace, params: WaveguideParams) -> list[str]:
@@ -108,23 +139,7 @@ def _zone_rows(diag: ZoneDiagram) -> list[str]:
 
 
 def cmd_zones(args: argparse.Namespace, params: WaveguideParams) -> int:
-    nt, nv = args.grid
-    if args.scalar:
-        t_grid = np.linspace(args.t_min, args.t_max, nt)
-        v_grid = np.linspace(args.v_min, args.v_max, nv)
-        labels = [
-            [
-                scalar_zone_classify(float(t), float(V) * float(t), params.c1,
-                                     params.omega1, args.S).kind
-                for t in t_grid
-            ]
-            for V in v_grid
-        ]
-        diag = ZoneDiagram(t_grid=t_grid, v_grid=v_grid, labels=labels,
-                           boundaries={}, monotone=True)
-    else:
-        diag = zone_diagram(params, (args.t_min, args.t_max),
-                            (args.v_min, args.v_max), (nt, nv), args.S)
+    diag = zone_diagram(params, (args.t_min, args.t_max), (args.v_min, args.v_max), args.grid, args.S)
     header = _config_echo(args, params) + ["columns: t,V,label"]
     rows = _zone_rows(diag)
     json_obj = {
@@ -138,15 +153,7 @@ def cmd_zones(args: argparse.Namespace, params: WaveguideParams) -> int:
     return 0
 
 
-def _map(fn, items, threads: int) -> list:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
-def _assembled(task):
-    t, V, params, S = task
+def _assembled(t: float, V: float, params: WaveguideParams, S: float):
     try:
         return assemble_field(t, V * t, params, S)
     except NoConvergence:
@@ -164,25 +171,19 @@ def _field_row(t, V, fv, u):
 
 def cmd_field(args: argparse.Namespace, params: WaveguideParams) -> int:
     nt, nv = args.grid
-    t_vals = np.linspace(args.t_min, args.t_max, nt) if nt > 1 else [args.t_min]
-    v_vals = np.linspace(args.v_min, args.v_max, nv) if nv > 1 else [args.v_min]
-    tasks = [(float(t), float(V), params, args.S) for t in t_vals for V in v_vals]
-    fvs = _map(_assembled, tasks, args.threads)
+    v_grid = np.linspace(args.v_min, args.v_max, nv).tolist()
+    points = [(t, V) for t in np.linspace(args.t_min, args.t_max, nt).tolist() for V in v_grid]
+    fvs = [_assembled(t, V, params, args.S) for t, V in points]
     # the points the assembly did not evaluate by quadrature go to the oracle
-    # together, so points on the same quadrature grid share its frequency
-    # tables; with threads, each thread takes a contiguous share of them
+    # in one call, so points on the same quadrature grid share its frequency
+    # tables
     need = [i for i, fv in enumerate(fvs) if fv is not None and not fv.used_oracle]
-    shares = [s.tolist() for s in np.array_split(need, max(args.threads, 1)) if s.size]
-
-    def oracle(share):
-        t = np.array([tasks[i][0] for i in share])
-        return field_modal_integral(t, np.array([tasks[i][1] for i in share]) * t, params)
-
     u = [None if fv is None else fv.u for fv in fvs]
-    for share, rows in zip(shares, _map(oracle, shares, args.threads)):
-        for i, row in zip(share, rows):
+    if need:
+        t = np.array([points[i][0] for i in need])
+        for i, row in zip(need, field_modal_integral(t, np.array([points[i][1] for i in need]) * t, params)):
             u[i] = row
-    results = [_field_row(t, V, fv, ui) for (t, V, _, _), fv, ui in zip(tasks, fvs, u)]
+    results = [_field_row(t, V, fv, ui) for (t, V), fv, ui in zip(points, fvs, u)]
     header = _config_echo(args, params) + [
         "columns: t,V,zone,u1_oracle,u2_oracle,u1_asym,u2_asym,terms,converged"
     ]
@@ -212,7 +213,7 @@ def cmd_field(args: argparse.Namespace, params: WaveguideParams) -> int:
 
 def cmd_compare(args: argparse.Namespace, params: WaveguideParams) -> int:
     runners = [getattr(acceptance, f"criterion_{i:02d}") for i in range(1, 13)]
-    results = _map(lambda r: r(params), runners, args.threads)
+    results = [run(params) for run in runners]
     report = {
         "config": _config_echo(args, params),
         "criteria": [
@@ -240,68 +241,70 @@ def cmd_compare(args: argparse.Namespace, params: WaveguideParams) -> int:
 
 def cmd_scalar(args: argparse.Namespace, params: WaveguideParams) -> int:
     nt, nv = args.grid
-    t_vals = np.linspace(args.t_min, args.t_max, nt) if nt > 1 else [args.t_min]
-    v_vals = np.linspace(args.v_min, args.v_max, nv) if nv > 1 else [args.v_min]
+    t_grid = np.linspace(args.t_min, args.t_max, nt)
+    v_grid = np.linspace(args.v_min, args.v_max, nv)
+    t_vals, v_vals = t_grid.tolist(), v_grid.tolist()
+    c, omega = params.c1, params.omega1
+    labels = [[scalar_zone_classify(t, V * t, c, omega, args.S).kind for t in t_vals] for V in v_vals]
     header = _config_echo(args, params) + ["columns: t,V,label,u_exact,u_far"]
     rows = ["t,V,label,u_exact,u_far\n"]
     points = []
-    for t in t_vals:
-        for V in v_vals:
-            x = float(V) * float(t)
-            lab = scalar_zone_classify(float(t), x, params.c1, params.omega1, args.S).kind
-            exact = scalar_kg_exact(float(t), x, params.c1, params.omega1)
-            far = (
-                scalar_kg_far(float(t), x, params.c1, params.omega1, args.S)
-                if lab == "far"
-                else np.nan
-            )
-            rows.append(
-                f"{_num(float(t))},{_num(float(V))},{lab},"
-                f"{_num(exact)},{_num(far)}\n"
-            )
+    for j, t in enumerate(t_vals):
+        for i, V in enumerate(v_vals):
+            lab = labels[i][j]
+            exact = scalar_kg_exact(t, V * t, c, omega)
+            far = scalar_kg_far(t, V * t, c, omega, args.S) if lab == "far" else np.nan
+            rows.append(f"{_num(t)},{_num(V)},{lab},{_num(exact)},{_num(far)}\n")
             points.append(
-                {"t": float(t), "V": float(V), "label": lab,
+                {"t": t, "V": V, "label": lab,
                  "u_exact": exact, "u_far": None if np.isnan(far) else far}
             )
-    _emit(args, header, rows, {"config": header, "points": points})
+    diag = ZoneDiagram(t_grid=t_grid, v_grid=v_grid, labels=labels, boundaries={}, monotone=True)
+    _emit(args, header, rows, {"config": header, "points": points},
+          lambda: svg_zones(diag, header[0]))
     return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--params", help="JSON parameter file (default preset otherwise)")
+    common.add_argument("--out", help="output path (stdout otherwise)")
+    window = argparse.ArgumentParser(add_help=False)
+    window.add_argument("--S", type=_positive, default=3.0, help="separation threshold")
+    window.add_argument("--t-min", type=_finite, default=1.0)
+    window.add_argument("--t-max", type=_finite, default=500.0)
+    window.add_argument("--v-min", type=_finite, default=0.5)
+    window.add_argument("--v-max", type=_finite, default=2.5)
+
     parser = argparse.ArgumentParser(
         prog="wavezones",
         description="Transient two-layer waveguide fields: dispersion, zones, "
         "asymptotics, and the quadrature oracle.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    any_format = ("csv", "json", "svg")
     defs = {
-        "dispersion": (cmd_dispersion, "branch tables and the two-panel figure"),
-        "zones": (cmd_zones, "classify a (t, V) grid"),
-        "field": (cmd_field, "oracle vs assembled field on a (t, V) grid"),
-        "compare": (cmd_compare, "run the acceptance criteria, emit a JSON report"),
-        "scalar": (cmd_scalar, "single-layer reference zones and field"),
+        "dispersion": (cmd_dispersion, "branch tables and the two-panel figure", [], any_format),
+        "zones": (cmd_zones, "classify a (t, V) grid", [window], any_format),
+        "field": (cmd_field, "oracle vs assembled field on a (t, V) grid", [window], ("csv", "json")),
+        "compare": (cmd_compare, "run the acceptance criteria, emit a JSON report", [], None),
+        "scalar": (cmd_scalar, "single-layer reference zones and field", [window], any_format),
     }
-    for name, (func, help_text) in defs.items():
-        p = sub.add_parser(name, help=help_text)
+    for name, (func, help_text, parents, formats) in defs.items():
+        p = sub.add_parser(name, help=help_text, parents=[common, *parents])
         p.set_defaults(func=func)
-        p.add_argument("--params", help="JSON parameter file (default preset otherwise)")
-        p.add_argument("--S", type=float, default=3.0, help="separation threshold")
-        p.add_argument("--t-min", type=float, default=1.0)
-        p.add_argument("--t-max", type=float, default=500.0)
-        p.add_argument("--v-min", type=float, default=0.5)
-        p.add_argument("--v-max", type=float, default=2.5)
-        p.add_argument("--grid", type=_parse_grid, default=(60, 40),
-                       help="NxM points (t by V; dispersion uses N omega samples)")
-        p.add_argument("--out", help="output path (stdout otherwise)")
-        p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--scalar", action="store_true",
-                       help="zones: classify the single-layer reference instead")
+        if formats:
+            p.add_argument("--grid", type=_parse_grid, default=(60, 40),
+                           help="NxM points (t by V; dispersion uses N omega samples)")
+            p.add_argument("--format", choices=formats, default="csv")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if (bad := _window_error(args)) is not None:
+        parser.error(bad)
     try:
         params = load_params(args.params) if args.params else DEFAULT_PARAMS
     except WavezonesError as exc:

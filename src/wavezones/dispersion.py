@@ -44,6 +44,7 @@ __all__ = [
     "exchange_branch_points",
     "GroupVelocityExtremum",
     "group_velocity_extrema",
+    "velocity_extrema",
     "sample_diagram",
     "bracketed_newton",
 ]
@@ -254,20 +255,23 @@ def _kpp_on_branch(branch: int, omega, params: WaveguideParams):
     return derivatives_at(np.asarray(omega, dtype=complex), np.asarray(k, dtype=complex), params).kpp
 
 
+def _extremum_window(params: WaveguideParams):
+    cp = crossing_point(params)
+    _, w_hi_cut = cutoff_frequencies(params)
+    return max(w_hi_cut * (1.0 + 1e-9), 0.5 * cp.omega_c), 1.5 * cp.omega_c
+
+
 @functools.lru_cache(maxsize=128)
-def group_velocity_extrema(params: WaveguideParams):
+def velocity_extrema(params: WaveguideParams):
     """Locate all group-velocity extrema of both branches near the crossing.
 
     Scans k''(omega) for sign changes on a window spanning the avoided
     crossing (from just above the upper cutoff to 1.5 omega_c, 2001 points
     per branch) and polishes each by bracketed Newton on k'', with k''' as
-    its slope.  Returns a tuple sorted by omega_e; raises
-    :class:`ExtremumNotFound` when there are none (e.g. mu = 0).
+    its slope.  Returns a tuple sorted by omega_e, empty when there are none
+    (e.g. mu = 0), so the scan runs once per parameter set either way.
     """
-    cp = crossing_point(params)
-    _, w_hi_cut = cutoff_frequencies(params)
-    lo = max(w_hi_cut * (1.0 + 1e-9), 0.5 * cp.omega_c)
-    hi = 1.5 * cp.omega_c
+    lo, hi = _extremum_window(params)
     found = []
     for branch in (1, 2):
         grid = np.linspace(lo, hi, 2001)
@@ -291,12 +295,20 @@ def group_velocity_extrema(params: WaveguideParams):
                     cubic_coeff=coeff,
                 )
             )
+    found.sort(key=lambda e: e.omega_e)
+    return tuple(found)
+
+
+def group_velocity_extrema(params: WaveguideParams):
+    """The :func:`velocity_extrema` tuple; raises :class:`ExtremumNotFound`
+    when it is empty (e.g. mu = 0)."""
+    found = velocity_extrema(params)
     if not found:
+        lo, hi = _extremum_window(params)
         raise ExtremumNotFound(
             f"no group-velocity extremum on either branch in [{lo:.6g}, {hi:.6g}]"
         )
-    found.sort(key=lambda e: e.omega_e)
-    return tuple(found)
+    return found
 
 
 def sample_diagram(params: WaveguideParams, omega_min: float, omega_max: float, num: int):

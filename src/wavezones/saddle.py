@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from . import dispersion
-from .errors import ExtremumNotFound, NoConvergence
+from .errors import NoConvergence
 from .model import WaveguideParams, symbol_dk, symbol_dw, symbol_pq, symbol_second
 
 __all__ = [
@@ -87,10 +87,7 @@ def _vg_segments(params: WaveguideParams):
     vg[0] < V < vg[-1].
     """
     lo_cut, hi_cut = dispersion.cutoff_frequencies(params)
-    try:
-        extrema = dispersion.group_velocity_extrema(params)
-    except ExtremumNotFound:
-        extrema = ()
+    extrema = dispersion.velocity_extrema(params)
     out = []
     for branch in (1, 2):
         if params.mu == 0.0:
@@ -173,12 +170,8 @@ def find_complex_saddles(V: float, params: WaveguideParams):
     """
     if V >= params.c1 or V <= 0.0:
         return ()
-    try:
-        extrema = dispersion.group_velocity_extrema(params)
-    except ExtremumNotFound:
-        return ()
     out = []
-    for e in extrema:
+    for e in dispersion.velocity_extrema(params):
         qty = (1.0 / e.v_e - 1.0 / V) / e.cubic_coeff
         if qty >= 0.0:
             continue  # pair is real (or exactly merged) on this side

@@ -30,13 +30,22 @@ def _f(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _padded(lim):
+    """An axis range of positive width: a degenerate range (a, a) widens by 10% of |a| (or 1) each way."""
+    a, b = lim
+    if a != b:
+        return lim
+    pad = 0.1 * abs(a) or 1.0
+    return a - pad, a + pad
+
+
 class _Panel:
     """Maps data coordinates into one pixel rectangle of the document."""
 
     def __init__(self, x0, y0, width, height, xlim, ylim):
         self.x0, self.y0 = x0, y0
         self.w, self.h = width, height
-        self.xlim, self.ylim = xlim, ylim
+        self.xlim, self.ylim = _padded(xlim), _padded(ylim)
 
     def px(self, x: float) -> float:
         a, b = self.xlim
@@ -146,9 +155,10 @@ def svg_zones(diagram, comment: str | None = None) -> str:
         (float(v_grid[0]), float(v_grid[-1])),
     )
     body = []
-    # cells first, frame on top so the border stays visible
-    dt = (t_grid[-1] - t_grid[0]) / max(len(t_grid) - 1, 1)
-    dv = (v_grid[-1] - v_grid[0]) / max(len(v_grid) - 1, 1)
+    # cells first, frame on top so the border stays visible; a single
+    # point on an axis gets a cell as wide as the panel
+    dt = (panel.xlim[1] - panel.xlim[0]) / max(len(t_grid) - 1, 1)
+    dv = (panel.ylim[1] - panel.ylim[0]) / max(len(v_grid) - 1, 1)
     for i, V in enumerate(v_grid):
         for j, tt in enumerate(t_grid):
             fill = _ZONE_FILL.get(diagram.labels[i][j], _FALLBACK_FILL)

@@ -37,8 +37,8 @@ import math
 import numpy as np
 
 from .asymptotics import TermDescriptor
-from .dispersion import group_velocity_extrema
-from .errors import ExtremumNotFound, UnknownLabel
+from .dispersion import velocity_extrema
+from .errors import UnknownLabel
 from .model import WaveguideParams, crossing_point
 from .saddle import find_complex_saddles, find_real_saddles
 
@@ -154,10 +154,7 @@ def _row(V: float, params: WaveguideParams):
         return None
     reals = {s.index: s for s in find_real_saddles(V, params)}
     complexes = {s.index: s for s in find_complex_saddles(V, params)}
-    try:
-        extrema = group_velocity_extrema(params)
-    except ExtremumNotFound:
-        extrema = ()
+    extrema = velocity_extrema(params)
     ext_by_pair = {((3, 4) if e.kind == "min" else (2, 3)): e for e in extrema}
     if not reals:
         return None

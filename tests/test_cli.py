@@ -6,6 +6,7 @@ All invocations go through main(argv) in-process; no subprocesses.
 import contextlib
 import io
 import json
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -126,16 +127,6 @@ def test_field_json_point(tmp_path):
     assert num / den < 0.05
 
 
-def test_field_threads_agree(tmp_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    base = ["field", "--t-min", "30", "--t-max", "35", "--v-min", "0.9", "--v-max", "1.1",
-            "--grid", "2x2", "--format", "json"]
-    assert main(base + ["--out", str(a)]) == 0
-    assert main(base + ["--threads", "2", "--out", str(b)]) == 0
-    pa, pb = json.loads(_read(a))["points"], json.loads(_read(b))["points"]
-    assert pa == pb
-
-
 def test_field_reports_unconverged_points(tmp_path, monkeypatch):
     # no tolerance can be met: every point of the batched oracle call fails
     # on its own, and field reports each as a converged=0 row and exits 1
@@ -173,6 +164,83 @@ def test_bad_params_file_exit_two(tmp_path):
         rc = main(["dispersion", "--params", str(bad), "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert "c1" in err.getvalue()
+
+
+def test_scalar_svg_shows_single_layer_labels(tmp_path):
+    out = tmp_path / "s.svg"
+    assert main(["scalar", "--grid", "30x20", "--t-min", "0.05", "--t-max", "3", "--format", "svg",
+                 "--out", str(out)]) == 0
+    root = ET.fromstring(_read(out))
+    legend = {el.text for el in root.iter() if el.tag.endswith("text") and el.get("x") == "620"}
+    assert legend == {"far", "bessel", "near", "zero"}
+
+
+@pytest.mark.parametrize("command", ["zones", "scalar"])
+@pytest.mark.parametrize("grid", ["1x5", "5x1"])
+def test_svg_with_one_point_on_an_axis(tmp_path, command, grid):
+    out = tmp_path / "z.svg"
+    assert main([command, "--grid", grid, "--t-max", "60", "--format", "svg", "--out", str(out)]) == 0
+    cells = [el for el in ET.fromstring(_read(out)).iter()
+             if el.tag.endswith("rect") and el.get("fill") != "none" and el.get("x") != "600"]
+    assert len(cells) == 5
+    for el in cells:
+        assert 0.0 < float(el.get("width")) <= 520.0 and 0.0 < float(el.get("height")) <= 380.0
+
+
+HELP_OPTIONS = {
+    "dispersion": {"--params", "--out", "--grid", "--format"},
+    "zones": {"--params", "--out", "--S", "--t-min", "--t-max", "--v-min", "--v-max", "--grid", "--format"},
+    "compare": {"--params", "--out"},
+}
+HELP_OPTIONS["field"] = HELP_OPTIONS["scalar"] = HELP_OPTIONS["zones"]
+
+
+@pytest.mark.parametrize("command", sorted(HELP_OPTIONS))
+def test_help_lists_only_the_options_read(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    shown = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", capsys.readouterr().out)) - {"--help"}
+    assert shown == HELP_OPTIONS[command]
+
+
+def _usage_error(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+    assert exc.value.code == 2
+    return err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["dispersion", "--S", "3"],
+    ["compare", "--grid", "4x4"],
+    ["compare", "--format", "csv"],
+    ["field", "--format", "svg"],
+    ["zones", "--threads", "2"],
+    ["zones", "--scalar"],
+])
+def test_options_a_subcommand_does_not_read_are_rejected(argv):
+    assert argv[1] in _usage_error(argv)
+
+
+@pytest.mark.parametrize("argv, option, value", [
+    (["zones", "--S", "0"], "--S", "0"),
+    (["field", "--S", "-1"], "--S", "-1"),
+    (["scalar", "--S", "nan"], "--S", "nan"),
+    (["zones", "--t-min", "50", "--t-max", "10"], "--t-min", "50.0"),
+    (["zones", "--t-min", "0"], "--t-min", "0.0"),
+    (["zones", "--v-min", "3"], "--v-min", "3.0"),
+    (["zones", "--v-max", "nan"], "--v-max", "nan"),
+    (["scalar", "--t-max", "inf"], "--t-max", "inf"),
+    (["field", "--t-min", "0"], "--t-min", "0.0"),
+    (["field", "--v-min", "-0.5"], "--v-min", "-0.5"),
+])
+def test_bad_window_rejected(argv, option, value, tmp_path):
+    msg = _usage_error(argv + ["--out", str(tmp_path / "x.csv")])
+    assert option in msg and value in msg
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_bad_grid_rejected(tmp_path):

@@ -133,9 +133,24 @@ def test_velocity_attribute_recorded():
 
 
 def test_one_cache_layer():
-    for fn in (find_real_saddles, find_complex_saddles, group_velocity_extrema, saddle._vg_segments, crossing_point, _row):
+    for fn in (find_real_saddles, find_complex_saddles, dispersion.velocity_extrema, saddle._vg_segments,
+               crossing_point, _row):
         assert fn.cache_info().maxsize > 0
         assert not hasattr(fn.__wrapped__, "cache_info"), fn.__name__
+
+
+def test_extremum_scan_runs_once_when_there_is_none(monkeypatch):
+    # mu = 0 has no extremum: the empty result is cached like any other, so
+    # rows at many speeds and the raising public call scan k'' once
+    p = dataclasses.replace(DEFAULT_PARAMS, mu=0.0, omega2=3.4567)  # a set no other test caches
+    scanned = []
+    scan = dispersion._kpp_on_branch
+    monkeypatch.setattr(dispersion, "_kpp_on_branch", lambda b, w, q: scanned.append(b) or scan(b, w, q))
+    for V in np.linspace(0.3, 1.95, 50):
+        _row(float(V), p)
+    with pytest.raises(ExtremumNotFound):
+        group_velocity_extrema(p)
+    assert scanned == [1, 2]
 
 
 def test_real_saddles_evaluate_the_branch_pointwise(monkeypatch):

@@ -8,7 +8,6 @@ assembly, and a direct-quadrature oracle for validation.
 
 from .asymptotics import (
     FieldValue,
-    TermDescriptor,
     airy_term,
     assemble_field,
     j_term,
@@ -51,6 +50,7 @@ from .saddle import (
 from .special import airy_ai, airy_ai_prime, bessel_j0
 from .zones import (
     ScalarZoneLabel,
+    TermDescriptor,
     ZoneDiagram,
     ZoneLabel,
     classify,

@@ -2,8 +2,8 @@
 
 Every criterion is a standalone runner returning a :class:`CriterionResult`
 with the measured numbers embedded in the message, so a failure says what
-was observed, not only that a threshold was crossed.  ``run_all`` executes
-them in order and prints one line per criterion.
+was observed, not only that a threshold was crossed.  ``wavezones compare``
+runs them in order and prints one line per criterion.
 
 The runners deliberately re-derive their expectations from module APIs
 (oracle quadrature, independent special-function references, finite
@@ -29,11 +29,11 @@ from .dispersion import (
 )
 from .model import DEFAULT_PARAMS, WaveguideParams, crossing_point, dispersion_D, j_parameters
 from .oracle import field_modal_integral, j_int_quadrature, scalar_kg_exact
-from .saddle import find_complex_saddles, find_real_saddles, phase_difference
+from .saddle import find_real_saddles, phase_difference
 from .special import airy_ai, bessel_j0
 from .zones import classify
 
-__all__ = ["CriterionResult", "run_all"] + [f"criterion_{i:02d}" for i in range(1, 13)]
+__all__ = ["CriterionResult"] + [f"criterion_{i:02d}" for i in range(1, 13)]
 
 
 @dataclasses.dataclass
@@ -280,23 +280,12 @@ def criterion_06(params: WaveguideParams = DEFAULT_PARAMS) -> CriterionResult:
     for V, x in [(1.40, 85.0), (1.38, 75.0), (1.37, 80.0), (1.35, 85.0), (1.33, 88.0),
                  (center, 45.0), (center, 60.0)]:
         t = x / V
-        label, desc = classify(t, V, params)
-        if label.primary != "J":
+        if classify(t, V, params)[0].primary != "J":
             continue
-        reals = {s.index: s for s in find_real_saddles(V, params)}
-        cplx = {s.index: s for s in find_complex_saddles(V, params)}
         total = j_term(t, x, params)
-        for d in desc:
-            if d.kind == "SP":
-                total = total + sum(
-                    (sp_term(reals[i], t, x, params) for i in d.saddles),
-                    np.zeros(2, dtype=complex),
-                )
-            elif d.kind == "SPe":
-                total = total + sum(
-                    (sp_term(cplx[i], t, x, params) for i in d.saddles),
-                    np.zeros(2, dtype=complex),
-                )
+        for d in assemble_field(t, x, params).terms:
+            if d.kind in ("SP", "SPe"):
+                total = total + d.value
         u = field_modal_integral(t, x, params)
         r = _rel_sup(2.0 * np.real(total), u)
         if r < best:
@@ -444,22 +433,3 @@ def criterion_12(params: WaveguideParams = DEFAULT_PARAMS) -> CriterionResult:
         f"max |u| {worst:.1e} vs 1e-6 x field scale {scale:.1e}",
         dt,
     )
-
-
-def run_all(params: WaveguideParams = DEFAULT_PARAMS) -> list[CriterionResult]:
-    """Run the twelve criteria in order; print one verdict line each."""
-    results = []
-    for i in range(1, 13):
-        runner = globals()[f"criterion_{i:02d}"]
-        res = runner(params)
-        print(res.line(), flush=True)
-        results.append(res)
-    total = sum(r.seconds for r in results)
-    npass = sum(r.passed for r in results)
-    print(f"-- {npass}/12 criteria passed, total {total:.0f}s", flush=True)
-    return results
-
-
-if __name__ == "__main__":
-    failed = [r for r in run_all() if not r.passed]
-    raise SystemExit(1 if failed else 0)

@@ -27,13 +27,14 @@ import math
 
 import numpy as np
 
+from . import oracle, zones
 from .errors import DegenerateCurvature, NoConvergence, OutsideWedge, WrongSignCurvature
 from .model import WaveguideParams, amplitude_A, crossing_point, j_parameters, modal_weight
-from .saddle import SaddlePoint, find_complex_saddles, find_real_saddles
+from .saddle import SaddlePoint, find_complex_saddles, find_real_saddles, merge_families, pair_is_real
 from .special import airy_ai, airy_ai_prime, bessel_j0
+from .zones import TermDescriptor
 
 __all__ = [
-    "TermDescriptor",
     "FieldValue",
     "sp_term",
     "airy_term",
@@ -43,22 +44,6 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-
-
-@dataclasses.dataclass
-class TermDescriptor:
-    """One asymptotic contribution at a (t, x) point.
-
-    kind is one of SP, SPe, Ai, J, Q, B; saddles lists the family indices
-    involved; value (complex pair) is filled by assemble_field; note
-    records what triggered the descriptor.
-    """
-
-    kind: str
-    saddles: tuple[int, ...] = ()
-    value: np.ndarray | None = None
-    note: str = ""
-    extremum: object | None = None
 
 
 @dataclasses.dataclass
@@ -111,7 +96,7 @@ def _pair_calibrated(sp_a: SaddlePoint, sp_b: SaddlePoint, t, x, params) -> np.n
 
 def _decay_calibrated(sp_c: SaddlePoint, t, x, params) -> np.ndarray:
     """Complex-saddle Airy calibration (shadow side of an extremum)."""
-    g = sp_c.k_star - sp_c.omega_star / sp_c.V
+    g = sp_c.g
     dphi = 2.0 * x * g.imag
     xi = (0.75 * dphi) ** (2.0 / 3.0)
     sig = modal_weight(sp_c.omega_star, sp_c.k_star, params) * np.sqrt(_TWO_PI / (-1j * sp_c.alpha * x))
@@ -146,23 +131,18 @@ def airy_term(ext, t: float, x: float, params: WaveguideParams) -> np.ndarray:
     if (ext.kind == "min") != (ext.cubic_coeff > 0):
         raise WrongSignCurvature(f"extremum kind {ext.kind!r} contradicts cubic coefficient {ext.cubic_coeff:.3g}")
     V = x / t
-    oscillatory = V > ext.v_e if ext.kind == "min" else V < ext.v_e
-    pair_ids = (3, 4) if ext.kind == "min" else (2, 3)
-    if oscillatory:
+    pair, partner = merge_families(ext)
+    if pair_is_real(ext, V):
         got = {s.index: s for s in find_real_saddles(V, params)}
-        if all(i in got for i in pair_ids):
-            a, b = got[pair_ids[0]], got[pair_ids[1]]
+        if all(i in got for i in pair):
+            a, b = (got[i] for i in pair)
             dphi = abs((b.k_star.real - a.k_star.real) * x - (b.omega_star.real - a.omega_star.real) * t)
             if dphi >= _AIRY_SWITCH:
                 return _pair_calibrated(a, b, t, x, params)
         return _local_airy(ext, t, x, params)
-    partner = 6 if ext.kind == "min" else 5
     got = {s.index: s for s in find_complex_saddles(V, params)}
-    if partner in got:
-        sp_c = got[partner]
-        g = sp_c.k_star - sp_c.omega_star / sp_c.V
-        if 2.0 * x * g.imag >= _AIRY_SWITCH:
-            return _decay_calibrated(sp_c, t, x, params)
+    if partner in got and 2.0 * x * got[partner].g.imag >= _AIRY_SWITCH:
+        return _decay_calibrated(got[partner], t, x, params)
     return _local_airy(ext, t, x, params)
 
 
@@ -293,47 +273,43 @@ def assemble_field(t: float, x: float, params: WaveguideParams, S: float = 3.0) 
     Sums the active asymptotic terms as u = 2 Re(sum); in zones without a
     usable simplification (B, and the quasi-intersection zone Q whose
     closed form is not wired in) the direct quadrature value is returned
-    and flagged via used_oracle.
+    and flagged via used_oracle.  The returned terms are new descriptors
+    carrying their values; the classifier's shared ones stay valueless.
     """
-    from . import zones as _zones
-    from .oracle import field_modal_integral
-
     if x <= 0.0:
         raise ValueError("assemble_field needs x > 0")
     V = x / t if t > 0.0 else math.inf
-    label, descriptors = _zones.classify(t, V, params, S)
+    label, descriptors = zones.classify(t, V, params, S)
 
     if label.primary == "zero":
         return FieldValue(u=np.zeros(2), zone=label, terms=[], used_oracle=False)
 
     if label.primary in ("B", "Q"):
-        u = field_modal_integral(t, x, params)
+        u = oracle.field_modal_integral(t, x, params)
         half = (u / 2.0).astype(complex)
-        for d in descriptors:
-            d.value = half if d.kind in ("B", "Q") else np.zeros(2, dtype=complex)
-        return FieldValue(u=np.asarray(u, dtype=float), zone=label, terms=descriptors, used_oracle=True)
+        terms = [
+            dataclasses.replace(d, value=half if d.kind in ("B", "Q") else np.zeros(2, dtype=complex))
+            for d in descriptors
+        ]
+        return FieldValue(u=np.asarray(u, dtype=float), zone=label, terms=terms, used_oracle=True)
 
-    reals = {s.index: s for s in find_real_saddles(V, params)}
-    complexes = {s.index: s for s in find_complex_saddles(V, params)}
+    # real and complex family indices are disjoint
+    saddles = {s.index: s for s in find_real_saddles(V, params) + find_complex_saddles(V, params)}
     total = np.zeros(2, dtype=complex)
+    terms = []
     for d in descriptors:
-        if d.kind == "SP":
-            d.value = sum((sp_term(reals[i], t, x, params) for i in d.saddles), np.zeros(2, dtype=complex))
-        elif d.kind == "SPe":
-            d.value = sum((sp_term(complexes[i], t, x, params) for i in d.saddles), np.zeros(2, dtype=complex))
-        elif d.kind == "Ai":
-            d.value = airy_term(d.extremum, t, x, params)
-        elif d.kind == "J":
+        if d.kind in ("SP", "SPe", "J"):
             # J marks saddles riding the exchange pulse.  The pulse is not an
             # extra additive piece: the closed form j_term is the two-wave
             # (uniform) rewrite of the same near-crossing saddle content, so
             # adding it on top of the saddle terms double counts.  Evaluate
             # the members by steepest descent; j_term stays available as the
             # pulse envelope diagnostic.
-            d.value = sum(
-                (sp_term(reals[i], t, x, params) for i in d.saddles), np.zeros(2, dtype=complex)
-            )
+            value = sum((sp_term(saddles[i], t, x, params) for i in d.saddles), np.zeros(2, dtype=complex))
+        elif d.kind == "Ai":
+            value = airy_term(d.extremum, t, x, params)
         else:
             raise ValueError(f"unexpected term kind {d.kind!r} in zone {label.primary!r}")
-        total += d.value
-    return FieldValue(u=2.0 * np.real(total), zone=label, terms=descriptors, used_oracle=False)
+        total += value
+        terms.append(TermDescriptor(d.kind, d.saddles, value, d.note, d.extremum))
+    return FieldValue(u=2.0 * np.real(total), zone=label, terms=terms, used_oracle=False)

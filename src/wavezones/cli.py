@@ -48,6 +48,13 @@ def _parse_grid(text: str) -> tuple[int, int]:
     return n, m
 
 
+def _omega_grid(text: str) -> tuple[int, int]:
+    n, m = _parse_grid(text)
+    if m != 1 or n < 2:
+        raise argparse.ArgumentTypeError(f"dispersion samples omega only: need Nx1 with N >= 2, got {text!r}")
+    return n, m
+
+
 def _finite(text: str) -> float:
     try:
         value = float(text)
@@ -110,9 +117,8 @@ def _emit(args: argparse.Namespace, header: list[str], rows: list[str] | None,
 
 def cmd_dispersion(args: argparse.Namespace, params: WaveguideParams) -> int:
     cp = crossing_point(params)
-    num = max(args.grid[0], 2)
     w_lo, w_hi = 0.2 * params.omega1, 2.2 * cp.omega_c
-    table = sample_diagram(params, w_lo, w_hi, num)
+    table = sample_diagram(params, w_lo, w_hi, args.grid[0])
     header = _config_echo(args, params) + ["columns: omega,k1,k2,vg1,vg2"]
     rows = [
         ",".join(_num(float(rec[name])) for name in ("omega", "k1", "k2", "vg1", "vg2")) + "\n"
@@ -283,19 +289,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     any_format = ("csv", "json", "svg")
+    tv_grid = (_parse_grid, (60, 40), "NxM points, t by V")
     defs = {
-        "dispersion": (cmd_dispersion, "branch tables and the two-panel figure", [], any_format),
-        "zones": (cmd_zones, "classify a (t, V) grid", [window], any_format),
-        "field": (cmd_field, "oracle vs assembled field on a (t, V) grid", [window], ("csv", "json")),
-        "compare": (cmd_compare, "run the acceptance criteria, emit a JSON report", [], None),
-        "scalar": (cmd_scalar, "single-layer reference zones and field", [window], any_format),
+        "dispersion": (cmd_dispersion, "branch tables and the two-panel figure", [], any_format,
+                       (_omega_grid, (60, 1), "Nx1: N >= 2 omega samples")),
+        "zones": (cmd_zones, "classify a (t, V) grid", [window], any_format, tv_grid),
+        "field": (cmd_field, "oracle vs assembled field on a (t, V) grid", [window], ("csv", "json"), tv_grid),
+        "compare": (cmd_compare, "run the acceptance criteria, emit a JSON report", [], None, None),
+        "scalar": (cmd_scalar, "single-layer reference zones and field", [window], any_format, tv_grid),
     }
-    for name, (func, help_text, parents, formats) in defs.items():
+    for name, (func, help_text, parents, formats, grid) in defs.items():
         p = sub.add_parser(name, help=help_text, parents=[common, *parents])
         p.set_defaults(func=func)
         if formats:
-            p.add_argument("--grid", type=_parse_grid, default=(60, 40),
-                           help="NxM points (t by V; dispersion uses N omega samples)")
+            grid_type, grid_default, grid_help = grid
+            p.add_argument("--grid", type=grid_type, default=grid_default, help=grid_help)
             p.add_argument("--format", choices=formats, default="csv")
     return parser
 

@@ -45,6 +45,7 @@ __all__ = [
     "GroupVelocityExtremum",
     "group_velocity_extrema",
     "velocity_extrema",
+    "branch_range",
     "sample_diagram",
     "bracketed_newton",
 ]
@@ -178,6 +179,24 @@ def cutoff_frequencies(params: WaveguideParams):
     return math.sqrt(y_lo), math.sqrt(y_hi)
 
 
+#: upper end of the frequency range the branches are tabulated and scanned on
+_W_MAX = 1e5
+
+
+def branch_range(branch: int, params: WaveguideParams) -> tuple[float, float]:
+    """Frequencies (lo, 1e5) covered on a branch, lo just above its cutoff.
+
+    At mu = 0 branch j is subsystem j and cuts on at its own omega_j.  The
+    saddle table and the extremum scan both run over this range.
+    """
+    if params.mu == 0.0:
+        cutoff = params.omega1 if branch == 1 else params.omega2
+    else:
+        lo_cut, hi_cut = cutoff_frequencies(params)
+        cutoff = hi_cut if branch == 1 else lo_cut
+    return cutoff * (1.0 + 1e-9), _W_MAX
+
+
 def exchange_branch_points(params: WaveguideParams):
     """Complex omega where the two k^2 roots coincide (D = d_k D = 0, k != 0).
 
@@ -255,26 +274,25 @@ def _kpp_on_branch(branch: int, omega, params: WaveguideParams):
     return derivatives_at(np.asarray(omega, dtype=complex), np.asarray(k, dtype=complex), params).kpp
 
 
-def _extremum_window(params: WaveguideParams):
-    cp = crossing_point(params)
-    _, w_hi_cut = cutoff_frequencies(params)
-    return max(w_hi_cut * (1.0 + 1e-9), 0.5 * cp.omega_c), 1.5 * cp.omega_c
+#: k'' samples per branch, geometric in the distance from the cutoff
+_SCAN_POINTS = 4001
 
 
 @functools.lru_cache(maxsize=128)
 def velocity_extrema(params: WaveguideParams):
-    """Locate all group-velocity extrema of both branches near the crossing.
+    """Locate all group-velocity extrema of both branches.
 
-    Scans k''(omega) for sign changes on a window spanning the avoided
-    crossing (from just above the upper cutoff to 1.5 omega_c, 2001 points
-    per branch) and polishes each by bracketed Newton on k'', with k''' as
-    its slope.  Returns a tuple sorted by omega_e, empty when there are none
-    (e.g. mu = 0), so the scan runs once per parameter set either way.
+    Scans k''(omega) for sign changes over each whole branch (its
+    :func:`branch_range`, on a grid geometric in the distance from the
+    cutoff, from 1e-6 up) and polishes each by bracketed Newton on k'', with
+    k''' as its slope.  Returns a tuple sorted by omega_e, empty when there
+    are none (e.g. mu = 0), so the scan runs once per parameter set either
+    way.
     """
-    lo, hi = _extremum_window(params)
     found = []
     for branch in (1, 2):
-        grid = np.linspace(lo, hi, 2001)
+        lo, hi = branch_range(branch, params)
+        grid = lo + np.geomspace(1e-6, hi - lo, _SCAN_POINTS)
         kpp = np.real(_kpp_on_branch(branch, grid, params))
         sign = np.sign(kpp)
         flips = np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]
@@ -304,9 +322,10 @@ def group_velocity_extrema(params: WaveguideParams):
     when it is empty (e.g. mu = 0)."""
     found = velocity_extrema(params)
     if not found:
-        lo, hi = _extremum_window(params)
+        (lo1, hi1), (lo2, hi2) = branch_range(1, params), branch_range(2, params)
         raise ExtremumNotFound(
-            f"no group-velocity extremum on either branch in [{lo:.6g}, {hi:.6g}]"
+            f"no group-velocity extremum on branch 1 in [{lo1:.6g}, {hi1:.6g}] "
+            f"or branch 2 in [{lo2:.6g}, {hi2:.6g}]"
         )
     return found
 

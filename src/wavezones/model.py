@@ -82,9 +82,6 @@ class WaveguideParams:
     f1: float = 1.0
     f2: float = 0.0
 
-    def forcing(self) -> np.ndarray:
-        return np.array([self.f1, self.f2], dtype=float)
-
 
 #: Reference parameter set used throughout the tests and examples.
 DEFAULT_PARAMS = WaveguideParams(c1=2.0, c2=1.8, omega1=3.0, omega2=3.5, mu=0.5)

@@ -12,6 +12,9 @@ family scheme used throughout the zone logic:
                        at the minimum (6); only the exponentially decaying
                        member (Im g > 0) is kept.
 
+:func:`merge_families` and :func:`pair_is_real` state this merge scheme for
+the zone logic and the Airy terms.
+
 Real saddles come from a table, built once per parameter set, of the pieces
 of each branch on which v_g is monotone (split at the group-velocity
 extrema): a piece holds one saddle exactly when V lies strictly inside its
@@ -36,11 +39,11 @@ __all__ = [
     "SaddlePoint",
     "find_real_saddles",
     "find_complex_saddles",
+    "merge_families",
+    "pair_is_real",
     "phase_difference",
 ]
 
-#: upper end of the tabulated branches
-_W_MAX = 1e5
 #: v_g table points of a piece, as fractions of its length: dense at the
 #: start, or at both ends when the piece ends at an extremum
 _OFFSETS = np.concatenate(([0.0], np.geomspace(1e-10, 1.0, 399)))
@@ -58,8 +61,6 @@ class SaddlePoint:
     :param alpha: k''(omega_star), the phase curvature entering descent terms.
     :param g: k_star - omega_star / V; phase per unit x is Re g, decay Im g.
     :param is_real: True for genuine real-axis stationary points.
-    :param passed_by_contour: whether the steepest-descent path picks the
-        point up (always True for the members this module returns).
     :param V: observer speed the point was solved for.
     :param params: waveguide constants used.
     """
@@ -71,32 +72,38 @@ class SaddlePoint:
     alpha: complex
     g: complex
     is_real: bool
-    passed_by_contour: bool
     V: float
     params: WaveguideParams
+
+
+def merge_families(ext: dispersion.GroupVelocityExtremum) -> tuple[tuple[int, int], int]:
+    """(real pair, complex partner) of a group-velocity extremum's merge:
+    ((2, 3), 5) at a maximum, ((3, 4), 6) at a minimum."""
+    return ((3, 4), 6) if ext.kind == "min" else ((2, 3), 5)
+
+
+def pair_is_real(ext: dispersion.GroupVelocityExtremum, V: float) -> bool:
+    """Whether the extremum's merging pair is real at speed V: above v_e at a
+    minimum, below it at a maximum (neither at V = v_e exactly)."""
+    return V > ext.v_e if ext.kind == "min" else V < ext.v_e
 
 
 @functools.lru_cache(maxsize=128)
 def _vg_segments(params: WaveguideParams):
     """Monotone pieces of v_g on each branch, tabulated once per parameter set.
 
-    Each branch runs from just above its cutoff to _W_MAX and is split at its
+    Each branch covers its :func:`dispersion.branch_range` and is split at its
     group-velocity extrema; piece n = 0, 1, ... of branch b carries family
     index b + n.  Returns tuples (branch, index, omega, vg) ordered by
     increasing vg, so a piece holds a saddle at speed V exactly when
     vg[0] < V < vg[-1].
     """
-    lo_cut, hi_cut = dispersion.cutoff_frequencies(params)
     extrema = dispersion.velocity_extrema(params)
     out = []
     for branch in (1, 2):
-        if params.mu == 0.0:
-            # uncoupled: branch j is subsystem j, cutting on at its own Omega_j
-            cutoff = params.omega1 if branch == 1 else params.omega2
-        else:
-            cutoff = hi_cut if branch == 1 else lo_cut
+        start, stop = dispersion.branch_range(branch, params)
         own = [(e.omega_e, e.v_e) for e in extrema if e.branch == branch]
-        ends = [(cutoff * (1.0 + 1e-9), None), *own, (_W_MAX, None)]
+        ends = [(start, None), *own, (stop, None)]
         for n, ((lo, v_lo), (hi, v_hi)) in enumerate(zip(ends[:-1], ends[1:])):
             w = lo + (hi - lo) * (_OFFSETS if v_hi is None else _OFFSETS_BOTH)
             k = dispersion.branch_k(branch, w, params)
@@ -151,7 +158,6 @@ def find_real_saddles(V: float, params: WaveguideParams):
                 alpha=complex(ds.kpp),
                 g=complex(k_s) - complex(x) / V,
                 is_real=True,
-                passed_by_contour=True,
                 V=V,
                 params=params,
             )
@@ -196,11 +202,10 @@ def find_complex_saddles(V: float, params: WaveguideParams):
                 omega_star=w,
                 k_star=k,
                 branch=e.branch,
-                index=5 if e.kind == "max" else 6,
+                index=merge_families(e)[1],
                 alpha=d.kpp,
                 g=k - w / V,
                 is_real=False,
-                passed_by_contour=True,
                 V=V,
                 params=params,
             )

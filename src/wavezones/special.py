@@ -158,20 +158,18 @@ _U_COEF, _V_COEF = _airy_u_v()
 def _airy_decay(z):
     """Right-side expansions: Ai ~ e^{-zeta}/(2 sqrt(pi) z^{1/4}) sum (-1)^k u_k zeta^-k."""
     zeta = (2.0 / 3.0) * z**1.5
-    t = -1.0 / zeta
-    su = np.zeros_like(z)
-    sv = np.zeros_like(z)
-    tk = np.ones_like(z)
-    for k in range(len(_U_COEF)):
-        term_u = _U_COEF[k] * tk
-        term_v = _V_COEF[k] * tk
-        # Poincare truncation: stop once terms start growing
-        if k > 0 and np.all(np.abs(term_u) > np.abs(prev_u)):
-            break
-        su = su + term_u
-        sv = sv + term_v
-        prev_u = term_u
-        tk = tk * t
+    n = len(_U_COEF)
+    # (-1/zeta)^k by repeated multiplication, one row per k
+    steps = np.concatenate((np.ones((1, z.size)), np.broadcast_to(-1.0 / zeta, (n - 1, z.size))))
+    tk = np.multiply.accumulate(steps, axis=0)
+    terms_u = _U_COEF[:, None] * tk
+    terms_v = _V_COEF[:, None] * tk
+    # Poincare truncation: each element sums, in order, the terms before its
+    # own first growing one, so an array call returns the scalar calls' values
+    grows = np.abs(terms_u[1:]) > np.abs(terms_u[:-1])
+    last = np.where(grows.any(axis=0), grows.argmax(axis=0), n - 1)[None]
+    su = np.take_along_axis(np.cumsum(terms_u, axis=0), last, axis=0)[0]
+    sv = np.take_along_axis(np.cumsum(terms_v, axis=0), last, axis=0)[0]
     pref = np.exp(-zeta) / (2.0 * math.sqrt(math.pi))
     ai = pref * su / z**0.25
     aip = -pref * sv * z**0.25

@@ -36,13 +36,13 @@ import math
 
 import numpy as np
 
-from .asymptotics import TermDescriptor
 from .dispersion import velocity_extrema
 from .errors import UnknownLabel
 from .model import WaveguideParams, crossing_point
-from .saddle import find_complex_saddles, find_real_saddles
+from .saddle import find_complex_saddles, find_real_saddles, merge_families, pair_is_real
 
 __all__ = [
+    "TermDescriptor",
     "ZoneLabel",
     "ScalarZoneLabel",
     "ZoneDiagram",
@@ -76,6 +76,25 @@ class ZoneLabel:
     letters: tuple[str, ...]
     sp_count: int
     parent: str | None
+
+
+@dataclasses.dataclass(frozen=True)
+class TermDescriptor:
+    """One asymptotic contribution at a (t, x) point.
+
+    kind is one of SP, SPe, Ai, J, Q, B; saddles lists the family indices
+    involved; extremum is the GroupVelocityExtremum of an Ai term; note
+    records what triggered the descriptor.  classify returns descriptors
+    without a value, shared by every point with the same link state;
+    asymptotics.assemble_field returns new ones carrying the value (a
+    complex pair).
+    """
+
+    kind: str
+    saddles: tuple[int, ...] = ()
+    value: np.ndarray | None = None
+    note: str = ""
+    extremum: object | None = None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -125,7 +144,7 @@ class _Row:
     loose holds (extremum, |c3|, |1/V - 1/v_e|) of each extremum whose Airy
     node stands in for an unresolved pair once its pocket is reached;
     shadow holds (index, extremum, Im g) of each complex saddle.  memo maps
-    a link state to its (ZoneLabel, descriptor templates).
+    a link state to its (ZoneLabel, descriptors).
     """
 
     V: float
@@ -153,11 +172,9 @@ def _row(V: float, params: WaveguideParams):
     if V >= params.c1:
         return None
     reals = {s.index: s for s in find_real_saddles(V, params)}
-    complexes = {s.index: s for s in find_complex_saddles(V, params)}
-    extrema = velocity_extrema(params)
-    ext_by_pair = {((3, 4) if e.kind == "min" else (2, 3)): e for e in extrema}
     if not reals:
         return None
+    complexes = {s.index: s for s in find_complex_saddles(V, params)}
 
     # crossing link: families 1 and 3 share the exchange-pulse region when
     # the point is strictly inside the wedge and the pulse argument b is
@@ -173,26 +190,18 @@ def _row(V: float, params: WaveguideParams):
     ordered = sorted(reals.values(), key=lambda s: s.omega_star.real)
     pairs = [(a, b) for a, b in zip(ordered[:-1], ordered[1:]) if {a.index, b.index} != {1, 3}]
 
-    # pocket-active extrema whose pair is unresolved (V = v_e exactly: the
-    # pair is neither real nor complex) get their Airy node directly
-    loose = []
-    for pair, e in ext_by_pair.items():
-        # only on the side of v_e where this extremum's pair leaves the real
-        # axis; elsewhere a missing member is another transition's doing
-        if e.kind == "min" and V > e.v_e:
-            continue
-        if e.kind == "max" and V < e.v_e:
-            continue
-        partner = 6 if e.kind == "min" else 5
-        if any(i in reals for i in pair) or partner in complexes:
-            continue  # handled through clusters / complex branch
-        loose.append((e, abs(e.cubic_coeff), abs(1.0 / V - 1.0 / e.v_e)))
-
-    shadow = []
-    for i, sc in sorted(complexes.items()):
-        g = sc.k_star - sc.omega_star / sc.V
-        e = next((e for e in extrema if (6 if e.kind == "min" else 5) == i), None)
-        shadow.append((i, e, g.imag))
+    ext_by_pair, ext_by_partner, loose = {}, {}, []
+    for e in velocity_extrema(params):
+        pair, partner = merge_families(e)
+        ext_by_pair[pair] = e
+        ext_by_partner[partner] = e
+        # pocket-active extrema whose pair is unresolved (V = v_e exactly: the
+        # pair is neither real nor complex) get their Airy node directly, but
+        # only on the side of v_e where the pair leaves the real axis;
+        # elsewhere a missing member is another transition's doing.  A real
+        # member or a found partner is handled by the clusters / complex branch
+        if not pair_is_real(e, V) and partner not in complexes and not any(i in reals for i in pair):
+            loose.append((e, abs(e.cubic_coeff), abs(1.0 / V - 1.0 / e.v_e)))
 
     return _Row(
         V=V,
@@ -203,7 +212,7 @@ def _row(V: float, params: WaveguideParams):
         pair_ids=tuple((a.index, b.index) for a, b in pairs),
         phases=tuple((a.k_star.real, a.omega_star.real, b.k_star.real, b.omega_star.real) for a, b in pairs),
         loose=tuple(loose),
-        shadow=tuple(shadow),
+        shadow=tuple((i, ext_by_partner.get(i), sc.g.imag) for i, sc in sorted(complexes.items())),
         memo={},
     )
 
@@ -268,7 +277,7 @@ def _label(row: _Row, state) -> tuple[ZoneLabel, tuple[TermDescriptor, ...]]:
         elif ids in ((1, 2, 3), (1, 3, 4)) and crossing_linked:
             descriptors.append(TermDescriptor("Q", saddles=ids))
             letters.add("Q")
-        elif ids in ((2, 3), (3, 4)) and ids in row.ext_by_pair:
+        elif ids in row.ext_by_pair:
             descriptors.append(TermDescriptor("Ai", saddles=ids, extremum=row.ext_by_pair[ids]))
             letters.add("Ai")
         else:
@@ -305,7 +314,7 @@ def _label(row: _Row, state) -> tuple[ZoneLabel, tuple[TermDescriptor, ...]]:
 
 
 def _at(row: _Row | None, t: float, S: float):
-    """(ZoneLabel, descriptor templates) at t > 0 on a row, memoized per state."""
+    """(ZoneLabel, descriptors) at t > 0 on a row, memoized per state."""
     if row is None:
         return _ZERO, ()
     state = _state(row, t, S)
@@ -321,15 +330,14 @@ def classify(t: float, V: float, params: WaveguideParams, S: float = 3.0):
     The V row record (saddles, extrema, pairs, rates) is built once per V
     and cached; the link state at t selects a label memoized in the row.
     The descriptors carry structure only (kind, saddle families, extremum
-    record) and are fresh copies on every call: asymptotics.assemble_field
-    fills their values.
+    record); they are frozen and shared with every point of the same state.
     """
     if S <= 0.0:
         raise ValueError("threshold S must be positive")
     if t <= 0.0 or V >= params.c1:
         return _ZERO, []
-    label, templates = _at(_row(V, params), t, S)
-    return label, [TermDescriptor(d.kind, d.saddles, note=d.note, extremum=d.extremum) for d in templates]
+    label, descriptors = _at(_row(V, params), t, S)
+    return label, list(descriptors)
 
 
 # ---------------------------------------------------------------------------

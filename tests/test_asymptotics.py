@@ -23,6 +23,7 @@ from wavezones.model import DEFAULT_PARAMS, j_parameters
 from wavezones.oracle import field_modal_integral, j_int_quadrature
 from wavezones.saddle import find_real_saddles
 from wavezones.special import bessel_j0
+from wavezones.zones import classify
 
 
 def test_sp_term_frozen_below_window():
@@ -152,6 +153,17 @@ def test_assembly_error_contracts_just_below_v_min():
             fv = assemble_field(t, V * t, DEFAULT_PARAMS)
             err.append(np.max(np.abs(fv.u - ui)) / np.max(sum(np.abs(2.0 * d.value) for d in fv.terms)))
         assert max(err[3:]) <= 0.5 * max(err[:3])
+
+
+@pytest.mark.parametrize("t, V", [(60.0, 1.0), (3.0, 1.0)])
+def test_assembly_returns_valued_copies_of_the_shared_descriptors(t, V):
+    # an SP point and a B point (oracle fallback)
+    fv = assemble_field(t, V * t, DEFAULT_PARAMS)
+    shared = classify(t, V, DEFAULT_PARAMS)[1]
+    assert [(d.kind, d.saddles, d.note) for d in fv.terms] == [(d.kind, d.saddles, d.note) for d in shared]
+    assert all(d.value is not None and d.value.shape == (2,) for d in fv.terms)
+    assert all(d.value is None for d in shared)
+    assert all(d.value is None for d in classify(t, V, DEFAULT_PARAMS)[1])
 
 
 def test_assembly_silent_zones():

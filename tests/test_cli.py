@@ -24,7 +24,7 @@ def _read(path):
 
 def test_dispersion_csv(tmp_path):
     out = tmp_path / "d.csv"
-    rc = main(["dispersion", "--grid", "12x8", "--out", str(out)])
+    rc = main(["dispersion", "--grid", "12x1", "--out", str(out)])
     assert rc == 0
     txt = _read(out)
     lines = txt.strip().splitlines()
@@ -77,7 +77,7 @@ def test_csv_output_renders_no_svg(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "svg_zones", refuse)
     monkeypatch.setattr(cli, "svg_dispersion", refuse)
     assert main(["zones", "--grid", "6x4", "--t-max", "60", "--out", str(tmp_path / "z.csv")]) == 0
-    assert main(["dispersion", "--grid", "6x4", "--out", str(tmp_path / "d.csv")]) == 0
+    assert main(["dispersion", "--grid", "6x1", "--out", str(tmp_path / "d.csv")]) == 0
     assert main(["zones", "--grid", "6x4", "--t-max", "60", "--format", "json",
                  "--out", str(tmp_path / "z.json")]) == 0
 
@@ -103,7 +103,7 @@ def test_compare_report_is_json(tmp_path, monkeypatch):
 
 def test_dispersion_svg_parses(tmp_path):
     out = tmp_path / "d.svg"
-    assert main(["dispersion", "--grid", "40x8", "--format", "svg", "--out", str(out)]) == 0
+    assert main(["dispersion", "--grid", "40x1", "--format", "svg", "--out", str(out)]) == 0
     root = ET.fromstring(_read(out))
     assert root.tag.endswith("svg")
 
@@ -252,8 +252,21 @@ def test_bad_grid_rejected(tmp_path):
     assert "grid" in err.getvalue()
 
 
+@pytest.mark.parametrize("grid", ["1x9", "12x8", "1x1"])
+def test_dispersion_grid_must_be_n_by_1(grid, tmp_path):
+    msg = _usage_error(["dispersion", "--grid", grid, "--out", str(tmp_path / "d.csv")])
+    assert "--grid" in msg and grid in msg
+    assert not (tmp_path / "d.csv").exists()
+
+
+def test_dispersion_default_grid(capsys):
+    assert main(["dispersion"]) == 0
+    rows = [l for l in capsys.readouterr().out.splitlines() if l and l[0].isdigit()]
+    assert len(rows) == 60
+
+
 def test_stdout_default(capsys):
-    rc = main(["dispersion", "--grid", "6x4"])
+    rc = main(["dispersion", "--grid", "6x1"])
     assert rc == 0
     cap = capsys.readouterr()
     assert "# wavezones dispersion" in cap.out

@@ -84,6 +84,90 @@ def test_extrema_frozen():
         assert abs(dv) < 1e-6
 
 
+def _fd_extrema(params, n=20001):
+    """Group-velocity extrema of omega_pm(k), independently of the k'' scan.
+
+    omega^2 at real k solves the quartic D = 0 in closed form (the + root is
+    branch 1, the - root branch 2); v_g is a central difference of omega in
+    k, extrema are sign changes of its slope on a geometric k grid, each
+    polished by golden-section search.  Returns sorted (branch, kind, v_e).
+    """
+    c1, c2, w1, w2, mu = params.c1, params.c2, params.omega1, params.omega2, params.mu
+
+    def vg(k, sign):
+        def omega(q):
+            a1, a2 = w1 * w1 + (c1 * q) ** 2, w2 * w2 + (c2 * q) ** 2
+            return np.sqrt(0.5 * (a1 + a2) + sign * np.sqrt(0.25 * (a1 - a2) ** 2 + mu * mu))
+
+        h = 1e-5 * k
+        return (omega(k + h) - omega(k - h)) / (2.0 * h)
+
+    ks = np.geomspace(1e-3, 1e3, n)
+    found = []
+    for branch, sign in ((1, 1.0), (2, -1.0)):
+        slope = np.diff(vg(ks, sign))
+        for i in np.nonzero(slope[:-1] * slope[1:] < 0.0)[0]:
+            kind = "max" if slope[i] > 0.0 else "min"
+            f = (lambda k: -vg(k, sign)) if kind == "max" else (lambda k: vg(k, sign))
+            lo, hi = ks[i], ks[i + 2]
+            for _ in range(60):
+                a, b = hi - 0.618 * (hi - lo), lo + 0.618 * (hi - lo)
+                lo, hi = (lo, b) if f(a) < f(b) else (a, hi)
+            found.append((branch, kind, float(vg(0.5 * (lo + hi), sign))))
+    return sorted(found)
+
+
+def _validated_sample(count=30, seed=11):
+    """Parameter sets validating without an UnsupportedRegime warning, drawn
+    from c2/c1 in [0.5, 0.98], omega2/omega1 in [1.01, 2], mu/(omega1 omega2) < 0.9."""
+    import warnings
+
+    from wavezones.errors import WavezonesError
+    from wavezones.model import WaveguideParams, validate
+
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        r, s, m = rng.uniform(0.5, 0.98), rng.uniform(1.01, 2.0), rng.uniform(0.0, 0.9)
+        params = WaveguideParams(c1=2.0, c2=2.0 * r, omega1=3.0, omega2=3.0 * s, mu=m * 9.0 * s)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                validate(params)
+            except WavezonesError:
+                continue
+        if not caught:
+            out.append(params)
+    return out
+
+
+def test_extrema_match_an_independent_scan():
+    from wavezones.dispersion import velocity_extrema
+
+    for params in _validated_sample():
+        got = sorted((e.branch, e.kind, e.v_e) for e in velocity_extrema(params))
+        want = _fd_extrema(params)
+        assert [g[:2] for g in got] == [w[:2] for w in want], params
+        assert all(abs(g[2] - w[2]) < 1e-6 for g, w in zip(got, want)), (params, got, want)
+
+
+@pytest.mark.parametrize("params", [
+    (2.0, 1.0401, 3.0, 3.3512, 0.23470426969236488),   # max just above the upper cutoff
+    (2.0, 1.9207, 3.0, 3.7126, 5.691314812460935),     # min far above the crossing
+])
+def test_extrema_away_from_the_crossing_are_found(params):
+    from wavezones.model import WaveguideParams
+    from wavezones.saddle import find_real_saddles
+
+    params = WaveguideParams(*params)
+    ex = group_velocity_extrema(params)
+    assert [(e.branch, e.kind) for e in ex] == [(2, "max"), (2, "min")]
+    v_max, v_min = ex[0].v_e, ex[1].v_e
+    # a speed inside (v_min, v_max) meets all four real families
+    V = min(1.001 * v_min, 0.5 * (v_min + v_max))
+    assert [s.index for s in find_real_saddles(V, params)] == [1, 2, 3, 4]
+
+
 def test_exchange_branch_points_frozen_and_symmetric():
     bp = exchange_branch_points(DEFAULT_PARAMS)
     assert len(bp) == 4

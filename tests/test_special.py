@@ -72,3 +72,13 @@ def test_ai_decay_scale():
     # oscillatory side stays O(z^{-1/4})
     z = np.linspace(-20.0, -1.0, 500)
     assert np.max(np.abs(airy_ai(z))) < 0.6
+
+
+def test_array_call_equals_scalar_calls_on_the_decay_side():
+    # the Poincare truncation of the z > 6.5 expansion stops per element,
+    # so no value depends on the other elements of its batch
+    z = np.random.default_rng(3).uniform(6.5, 20.0, 2000)
+    z[0] = 6.51
+    ai, aip = airy_ai(np.append(z, 19.0)), airy_ai_prime(np.append(z, 19.0))
+    assert ai[:-1].tolist() == [airy_ai(float(v)) for v in z]
+    assert aip[:-1].tolist() == [airy_ai_prime(float(v)) for v in z]

@@ -312,13 +312,15 @@ def test_row_path_matches_per_point_reference(mu, S):
     assert (unresolved > 0) == (mu > 0.0)
 
 
-def test_classify_returns_fresh_descriptors():
+def test_classify_returns_frozen_descriptors():
+    import dataclasses
+
     a = classify(20.0, 0.8, DEFAULT_PARAMS)[1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a[0].value = np.ones(2, dtype=complex)
     b = classify(20.0, 0.8, DEFAULT_PARAMS)[1]
     assert [d.kind for d in a] == [d.kind for d in b]
-    a[0].value = np.ones(2, dtype=complex)
-    assert a[0] is not b[0] and b[0].value is None
-    assert classify(20.0, 0.8, DEFAULT_PARAMS)[1][0].value is None
+    assert all(d.value is None for d in b)
 
 
 def test_non_positive_threshold_rejected():

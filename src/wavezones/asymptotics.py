@@ -28,9 +28,9 @@ import math
 import numpy as np
 
 from . import oracle, zones
-from .errors import DegenerateCurvature, NoConvergence, OutsideWedge, WrongSignCurvature
+from .errors import DegenerateCurvature, InvalidArgument, NoConvergence, OutsideWedge, WrongSignCurvature
 from .model import WaveguideParams, amplitude_A, crossing_point, j_parameters, modal_weight
-from .saddle import SaddlePoint, find_complex_saddles, find_real_saddles, merge_families, pair_is_real
+from .saddle import SaddlePoint, find_complex_saddles, find_real_saddles, merge_families, pair_is_real, phase_difference
 from .special import airy_ai, airy_ai_prime, bessel_j0
 from .zones import TermDescriptor
 
@@ -65,7 +65,7 @@ def sp_term(sp: SaddlePoint, t: float, x: float, params: WaveguideParams) -> np.
     the exponential decays.  Requires x > 0 and a nondegenerate curvature.
     """
     if x <= 0.0:
-        raise ValueError("stationary-point term needs x > 0")
+        raise InvalidArgument(f"stationary-point term needs x > 0, got x={x!r}")
     if abs(sp.alpha) < 1e-12:
         raise DegenerateCurvature(f"curvature {sp.alpha!r} too small for an isolated-saddle form")
     h = modal_weight(sp.omega_star, sp.k_star, params)
@@ -127,7 +127,7 @@ def airy_term(ext, t: float, x: float, params: WaveguideParams) -> np.ndarray:
     must match its curvature sign (WrongSignCurvature otherwise).
     """
     if x <= 0.0 or t <= 0.0:
-        raise ValueError("Airy term needs t > 0 and x > 0")
+        raise InvalidArgument(f"Airy term needs t > 0 and x > 0, got t={t!r}, x={x!r}")
     if (ext.kind == "min") != (ext.cubic_coeff > 0):
         raise WrongSignCurvature(f"extremum kind {ext.kind!r} contradicts cubic coefficient {ext.cubic_coeff:.3g}")
     V = x / t
@@ -136,8 +136,7 @@ def airy_term(ext, t: float, x: float, params: WaveguideParams) -> np.ndarray:
         got = {s.index: s for s in find_real_saddles(V, params)}
         if all(i in got for i in pair):
             a, b = (got[i] for i in pair)
-            dphi = abs((b.k_star.real - a.k_star.real) * x - (b.omega_star.real - a.omega_star.real) * t)
-            if dphi >= _AIRY_SWITCH:
+            if phase_difference(a, b, t, x) >= _AIRY_SWITCH:
                 return _pair_calibrated(a, b, t, x, params)
         return _local_airy(ext, t, x, params)
     got = {s.index: s for s in find_complex_saddles(V, params)}
@@ -222,7 +221,7 @@ def q_function(beta: float, z: float, rel_tol: float = 1e-9) -> complex:
     ill-conditioned in double precision (NoConvergence reports it).
     """
     if beta < 0.0:
-        raise ValueError("beta must be nonnegative")
+        raise InvalidArgument(f"beta must be nonnegative, got beta={beta!r}")
     if beta == 0.0:
         return _q_loop(z, rel_tol)
 
@@ -277,7 +276,7 @@ def assemble_field(t: float, x: float, params: WaveguideParams, S: float = 3.0) 
     carrying their values; the classifier's shared ones stay valueless.
     """
     if x <= 0.0:
-        raise ValueError("assemble_field needs x > 0")
+        raise InvalidArgument(f"assemble_field needs x > 0, got x={x!r}")
     V = x / t if t > 0.0 else math.inf
     label, descriptors = zones.classify(t, V, params, S)
 

@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from .errors import BranchPointProximity, ExtremumNotFound, NoConvergence, OverstrongCoupling
+from .errors import BranchPointProximity, ExtremumNotFound, InvalidArgument, NoConvergence, OverstrongCoupling
 from .model import WaveguideParams, crossing_point, symbol_dk, symbol_dw, symbol_pq, symbol_second
 
 __all__ = [
@@ -86,7 +86,7 @@ def branch_k(branch: int, omega, params: WaveguideParams):
     branch j equals sqrt(omega^2 - omega_j^2)/c_j exactly.
     """
     if branch not in (1, 2):
-        raise ValueError(f"branch must be 1 or 2, got {branch!r}")
+        raise InvalidArgument(f"branch must be 1 or 2, got {branch!r}")
     omega = np.asarray(omega)
     if params.mu == 0.0:
         Om = params.omega1 if branch == 1 else params.omega2
@@ -337,7 +337,10 @@ def sample_diagram(params: WaveguideParams, omega_min: float, omega_max: float, 
     are NaN where a branch is evanescent (below its cutoff).
     """
     if not (omega_max > omega_min > 0.0) or num < 2:
-        raise ValueError("need 0 < omega_min < omega_max and num >= 2")
+        raise InvalidArgument(
+            "need 0 < omega_min < omega_max and num >= 2, "
+            f"got omega_min={omega_min!r}, omega_max={omega_max!r}, num={num!r}"
+        )
     grid = np.linspace(omega_min, omega_max, num)
     out = np.zeros(num, dtype=[(n, float) for n in ("omega", "k1", "k2", "vg1", "vg2")])
     out["omega"] = grid

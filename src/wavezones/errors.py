@@ -9,6 +9,10 @@ class WavezonesError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidArgument(WavezonesError, ValueError):
+    """An argument outside the domain a function accepts; the message names the value."""
+
+
 # ---------------------------------------------------------------------------
 # parameter validation
 

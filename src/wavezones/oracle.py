@@ -56,7 +56,7 @@ import math
 import numpy as np
 
 from .dispersion import k_squared_roots
-from .errors import NoConvergence, OutsideFarZone, OutsideWedge
+from .errors import InvalidArgument, NoConvergence, OutsideFarZone, OutsideWedge
 from .model import (
     WaveguideParams,
     crossing_point,
@@ -272,10 +272,11 @@ def field_modal_integral(t, x, params: WaveguideParams, return_info: bool = Fals
     ts, xs = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
     scalar = ts.ndim == 0 and xs.ndim == 0
     if not scalar and (ts.ndim != 1 or ts.shape != xs.shape):
-        raise ValueError("t and x must be scalars or equal-length 1-D arrays")
+        raise InvalidArgument(f"t and x must be scalars or equal-length 1-D arrays, got shapes {ts.shape}, {xs.shape}")
     ts, xs = ts.reshape(-1).tolist(), xs.reshape(-1).tolist()
-    if any(xi < 0.0 for xi in xs):
-        raise ValueError("field is evaluated for x >= 0 (it is even in x)")
+    bad = next((xi for xi in xs if xi < 0.0), None)
+    if bad is not None:
+        raise InvalidArgument(f"field is evaluated for x >= 0 (it is even in x), got x={bad!r}")
 
     grids = [_panels(ti, xi, params) for ti, xi in zip(ts, xs)]
     groups: dict = {}

@@ -1,8 +1,8 @@
 """Zone classification of the (t, V) half plane.
 
 A point is classified by which saddle-point domains of influence overlap
-at (t, x = V t).  Overlapping families cluster (union-find over links);
-each cluster is then read as a letter:
+at (t, x = V t).  Linked families merge into clusters; each cluster is then
+read as a letter:
 
     B   every present family in one cluster, or an unrecognized pattern
         (includes all near-front and near-field points): no simplification,
@@ -15,17 +15,18 @@ each cluster is then read as a letter:
     SP  / SPe: an isolated real / complex stationary point.
 
 Links use the phase difference for adjacent real families, the pulse
-argument b for the crossing pair, and the decay exponent for complex
-saddles; all compared against the same dimensionless threshold S.
+argument b for the crossing pair, the Airy pocket for an unresolved merging
+pair, and the decay exponent for complex saddles; all compared against the
+same dimensionless threshold S.
 
-On a ray x = V t each of these links is linear in t, so a V row has only a
-handful of distinct labels.  Classification is therefore split in three:
-:func:`_row` gathers, once per V, everything that does not depend on t (the
-saddles, the extrema, the omega-ordered pairs, whether the crossing link can
-fire, the Airy-pocket and decay coefficients); :func:`_state` evaluates the
-links at one t as a tuple of booleans, each with the floating-point
-expression of the per-point test; :func:`_label` runs the cluster and letter
-logic once per distinct state and memoizes the result in the row.
+On a ray x = V t each of these separations is its value at t = 1 (the rate)
+times t, so a link is active while rate * t < S and each boundary of a V row
+lies at some t = S / rate.  Classification is therefore split in three:
+:func:`_row` gathers, once per V, the saddles, the extrema, and each link
+with its rate; :func:`_state` compares every rate * t with S; :func:`_label`
+runs the cluster and letter logic once per distinct state and memoizes the
+result in the row.  The crossing link exists only on rays strictly inside
+the exchange wedge, v_slow < V < v_fast.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ import math
 import numpy as np
 
 from .dispersion import velocity_extrema
-from .errors import UnknownLabel
-from .model import WaveguideParams, crossing_point
-from .saddle import find_complex_saddles, find_real_saddles, merge_families, pair_is_real
+from .errors import InvalidArgument, UnknownLabel
+from .model import WaveguideParams, crossing_point, j_parameters
+from .saddle import find_complex_saddles, find_real_saddles, merge_families, pair_is_real, phase_difference
 
 __all__ = [
     "TermDescriptor",
@@ -113,49 +114,27 @@ def parent_of(label: str) -> str | None:
         raise UnknownLabel(f"no such zone label: {label!r}") from None
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self._up = {i: i for i in items}
-
-    def find(self, i):
-        while self._up[i] != i:
-            self._up[i] = self._up[self._up[i]]
-            i = self._up[i]
-        return i
-
-    def union(self, a, b):
-        self._up[self.find(a)] = self.find(b)
-
-    def clusters(self):
-        groups = {}
-        for i in self._up:
-            groups.setdefault(self.find(i), set()).add(i)
-        return list(groups.values())
-
-
 @dataclasses.dataclass
 class _Row:
     """What the classification of one V row depends on apart from t and S.
 
-    real_ids and complex_ids are the saddle families present, in order;
-    phases holds (k_a, omega_a, k_b, omega_b) of each omega-adjacent real
-    pair other than {1, 3}, pair_ids their family indices; crossing holds
-    (mu, v_fast, v_slow, denominator of b) when the crossing link can fire;
-    loose holds (extremum, |c3|, |1/V - 1/v_e|) of each extremum whose Airy
-    node stands in for an unresolved pair once its pocket is reached;
-    shadow holds (index, extremum, Im g) of each complex saddle.  memo maps
-    a link state to its (ZoneLabel, descriptors).
+    real_ids and complex_ids are the saddle families present, in order.
+    links names what each link joins, in the order crossing, phase, pocket,
+    shadow: ("crossing", 1, 3) when the crossing link can fire, ("phase",
+    a, b) for each omega-adjacent real pair other than {1, 3}, ("pocket",
+    extremum) for each extremum whose Airy node stands in for an unresolved
+    pair, and ("shadow", index, extremum or None) for each complex saddle.
+    rates holds each link's separation at t = 1 on the ray (x = V): every
+    separation grows linearly in t, so a link is active while rate * t < S.
+    memo maps a link state to its (ZoneLabel, descriptors).
     """
 
     V: float
     real_ids: tuple
     complex_ids: tuple
     ext_by_pair: dict
-    crossing: tuple | None
-    pair_ids: tuple
-    phases: tuple
-    loose: tuple
-    shadow: tuple
+    links: tuple
+    rates: tuple
     memo: dict
 
 
@@ -175,22 +154,24 @@ def _row(V: float, params: WaveguideParams):
     if not reals:
         return None
     complexes = {s.index: s for s in find_complex_saddles(V, params)}
+    links, rates = [], []
 
     # crossing link: families 1 and 3 share the exchange-pulse region when
-    # the point is strictly inside the wedge and the pulse argument b is
-    # small.  _state evaluates b with model.j_parameters' expression and this
-    # precomputed denominator: a j_parameters call per state costs 3x more
+    # the ray lies strictly inside the wedge and the pulse argument b is small
     cp = crossing_point(params)
-    crossing = None
-    if params.mu > 0.0 and 1 in reals:
-        inv_gap = 1.0 / cp.v_slow - 1.0 / cp.v_fast
-        crossing = (params.mu, cp.v_fast, cp.v_slow, params.c1 * params.c2 * cp.k_c * inv_gap)
+    if params.mu > 0.0 and 1 in reals and cp.v_slow < V < cp.v_fast:
+        links.append(("crossing", 1, 3))
+        rates.append(j_parameters(1.0, V, params).b)
 
-    # the crossing pair is linked by b, never by phase
+    # phase links between omega-adjacent real families; the crossing pair is
+    # linked by b, never by phase
     ordered = sorted(reals.values(), key=lambda s: s.omega_star.real)
-    pairs = [(a, b) for a, b in zip(ordered[:-1], ordered[1:]) if {a.index, b.index} != {1, 3}]
+    for a, b in zip(ordered[:-1], ordered[1:]):
+        if {a.index, b.index} != {1, 3}:
+            links.append(("phase", a.index, b.index))
+            rates.append(phase_difference(a, b, 1.0, V))
 
-    ext_by_pair, ext_by_partner, loose = {}, {}, []
+    ext_by_pair, ext_by_partner = {}, {}
     for e in velocity_extrema(params):
         pair, partner = merge_families(e)
         ext_by_pair[pair] = e
@@ -199,118 +180,91 @@ def _row(V: float, params: WaveguideParams):
         # pair is neither real nor complex) get their Airy node directly, but
         # only on the side of v_e where the pair leaves the real axis;
         # elsewhere a missing member is another transition's doing.  A real
-        # member or a found partner is handled by the clusters / complex branch
+        # member or a found partner is handled by the clusters / complex branch.
+        # The pocket is the merge phase (4/3)|s|^{3/2} of the local cubic
+        # model, s the scaled Airy argument; it needs no saddles, so it still
+        # fires at V = v_e exactly, where the double root defeats the finder
         if not pair_is_real(e, V) and partner not in complexes and not any(i in reals for i in pair):
-            loose.append((e, abs(e.cubic_coeff), abs(1.0 / V - 1.0 / e.v_e)))
+            s_abs = (V * V / abs(e.cubic_coeff)) ** (1.0 / 3.0) * abs(1.0 / V - 1.0 / e.v_e)
+            links.append(("pocket", e))
+            rates.append((4.0 / 3.0) * s_abs**1.5)
+
+    # complex saddles decay as 2 x Im g
+    for i, sc in sorted(complexes.items()):
+        links.append(("shadow", i, ext_by_partner.get(i)))
+        rates.append(2.0 * V * sc.g.imag)
 
     return _Row(
         V=V,
         real_ids=tuple(sorted(reals)),
         complex_ids=tuple(sorted(complexes)),
         ext_by_pair=ext_by_pair,
-        crossing=crossing,
-        pair_ids=tuple((a.index, b.index) for a, b in pairs),
-        phases=tuple((a.k_star.real, a.omega_star.real, b.k_star.real, b.omega_star.real) for a, b in pairs),
-        loose=tuple(loose),
-        shadow=tuple((i, ext_by_partner.get(i), sc.g.imag) for i, sc in sorted(complexes.items())),
+        links=tuple(links),
+        rates=tuple(rates),
         memo={},
     )
 
 
 def _state(row: _Row, t: float, S: float):
-    """Link booleans at (t, x = V t): (crossing, phase links, pockets, decays).
-
-    Each test is the floating-point expression the per-point classification
-    has always used, so a state reproduces its labels exactly.
-    """
-    x = row.V * t
-    crossing = False
-    if row.crossing is not None:
-        mu, v_fast, v_slow, den = row.crossing
-        if x / v_fast < t < x / v_slow:
-            crossing = mu * math.sqrt((t - x / v_fast) * (x / v_slow - t)) / den < S
-    # phase gap |Re phi_a - Re phi_b| with phi = k x - omega t
-    links = tuple([abs((ka * x - wa * t) - (kb * x - wb * t)) < S for ka, wa, kb, wb in row.phases])
-    # Airy pocket from the local cubic model: the merge phase is
-    # (4/3)|s|^{3/2} with s the scaled Airy argument.  This metric needs no
-    # saddles, so it still fires at V = v_e exactly, where the double root
-    # defeats the saddle finder.
-    pockets = tuple([(4.0 / 3.0) * ((x * x / c3) ** (1.0 / 3.0) * gap) ** 1.5 < S for _, c3, gap in row.loose])
-    # complex decay 2 x Im g
-    decays = tuple([2.0 * x * im < S for _, _, im in row.shadow])
-    return crossing, links, pockets, decays
+    """Which links are active at (t, x = V t): one comparison per rate."""
+    return tuple([r * t < S for r in row.rates])
 
 
 def _label(row: _Row, state) -> tuple[ZoneLabel, tuple[TermDescriptor, ...]]:
     """Cluster the linked families of one state and read them as letters."""
-    crossing_linked, links, pockets, decays = state
-
-    uf = _UnionFind(row.real_ids)
-    for (a, b), linked in zip(row.pair_ids, links):
-        if linked:
-            uf.union(a, b)
-    if crossing_linked and 3 in row.real_ids:
-        uf.union(1, 3)
-    clusters = sorted(uf.clusters(), key=min)
-    all_ids = set(row.real_ids)
+    cluster = {i: frozenset((i,)) for i in row.real_ids}
+    crossing_linked = False
+    tail: list[TermDescriptor] = []
+    for link, active in zip(row.links, state):
+        kind = link[0]
+        if kind == "pocket":
+            if active:
+                tail.append(TermDescriptor("Ai", saddles=(), extremum=link[1], note="unresolved pair"))
+        elif kind == "shadow":
+            # near their extremum complex saddles belong to the Airy
+            # neighborhood, far from it they are exponentially small SPe terms
+            _, i, e = link
+            if e is not None and active:
+                tail.append(TermDescriptor("Ai", saddles=(i,), extremum=e, note="shadow side"))
+            else:
+                tail.append(TermDescriptor("SPe", saddles=(i,)))
+        elif active:
+            crossing_linked |= kind == "crossing"
+            _, a, b = link
+            if b in cluster:  # without family 3, family 1 rides the pulse alone
+                merged = cluster[a] | cluster[b]
+                for i in merged:
+                    cluster[i] = merged
 
     descriptors: list[TermDescriptor] = []
-    letters: set[str] = set()
-    bail_to_b = False
-
-    for cl in clusters:
+    for cl in sorted(set(cluster.values()), key=min):
         ids = tuple(sorted(cl))
-        if len(cl) >= 2 and cl == all_ids:
-            bail_to_b = True
-            break
         if len(cl) == 1:
-            i = ids[0]
-            if crossing_linked and i == 1:
-                descriptors.append(TermDescriptor("J", saddles=(1,), note="crossing ghost"))
-                letters.add("J")
+            if crossing_linked and ids == (1,):
+                descriptors.append(TermDescriptor("J", saddles=ids, note="crossing ghost"))
             else:
                 descriptors.append(TermDescriptor("SP", saddles=ids))
-                letters.add("SP")
-        elif ids in ((1, 3),):
+        elif ids == row.real_ids:
+            break
+        elif ids == (1, 3):
             descriptors.append(TermDescriptor("J", saddles=ids))
-            letters.add("J")
         elif ids in ((1, 2, 3), (1, 3, 4)) and crossing_linked:
             descriptors.append(TermDescriptor("Q", saddles=ids))
-            letters.add("Q")
         elif ids in row.ext_by_pair:
             descriptors.append(TermDescriptor("Ai", saddles=ids, extremum=row.ext_by_pair[ids]))
-            letters.add("Ai")
         else:
-            bail_to_b = True
             break
-
-    if bail_to_b:
-        label = ZoneLabel("B", ("B",), 0, _PARENT["B"])
-        ids = row.real_ids + row.complex_ids
-        return label, (TermDescriptor("B", saddles=ids, note="no usable simplification"),)
-
-    for (e, _, _), active in zip(row.loose, pockets):
-        if active:
-            descriptors.append(TermDescriptor("Ai", saddles=(), extremum=e, note="unresolved pair"))
-            letters.add("Ai")
-
-    # complex saddles: near their extremum they belong to the Airy
-    # neighborhood, far from it they are exponentially small SPe terms
-    for (i, e, _), near in zip(row.shadow, decays):
-        if e is not None and near:
-            descriptors.append(TermDescriptor("Ai", saddles=(i,), extremum=e, note="shadow side"))
-            letters.add("Ai")
-        else:
-            descriptors.append(TermDescriptor("SPe", saddles=(i,)))
-            letters.add("SPe")
-
-    if "Q" in letters:
-        primary = "Q"
     else:
-        primary = next(k for k in _PRECEDENCE if k in letters)
-    ordered_letters = tuple(k for k in _PRECEDENCE if k in letters)
-    sp_count = sum(len(d.saddles) for d in descriptors if d.kind in ("SP", "SPe"))
-    return ZoneLabel(primary, ordered_letters, sp_count, _PARENT[primary]), tuple(descriptors)
+        # every cluster has a simplification
+        descriptors += tail
+        letters = {d.kind for d in descriptors}
+        ordered_letters = tuple(k for k in _PRECEDENCE if k in letters)
+        primary = ordered_letters[0]
+        sp_count = sum(len(d.saddles) for d in descriptors if d.kind in ("SP", "SPe"))
+        return ZoneLabel(primary, ordered_letters, sp_count, _PARENT[primary]), tuple(descriptors)
+
+    ids = row.real_ids + row.complex_ids
+    return ZoneLabel("B", ("B",), 0, _PARENT["B"]), (TermDescriptor("B", saddles=ids, note="no usable simplification"),)
 
 
 def _at(row: _Row | None, t: float, S: float):
@@ -333,7 +287,7 @@ def classify(t: float, V: float, params: WaveguideParams, S: float = 3.0):
     record); they are frozen and shared with every point of the same state.
     """
     if S <= 0.0:
-        raise ValueError("threshold S must be positive")
+        raise InvalidArgument(f"threshold S must be positive, got S={S!r}")
     if t <= 0.0 or V >= params.c1:
         return _ZERO, []
     label, descriptors = _at(_row(V, params), t, S)
@@ -370,9 +324,9 @@ def zone_diagram(params: WaveguideParams, t_range, v_range, shape=(60, 60), S: f
     t_lo, t_hi = t_range
     v_lo, v_hi = v_range
     if not (t_hi > t_lo > 0.0 and v_hi > v_lo > 0.0):
-        raise ValueError("ranges must be positive and increasing")
+        raise InvalidArgument(f"ranges must be positive and increasing, got t_range={t_range!r}, v_range={v_range!r}")
     if S <= 0.0:
-        raise ValueError("threshold S must be positive")
+        raise InvalidArgument(f"threshold S must be positive, got S={S!r}")
     t_grid = np.linspace(t_lo, t_hi, nt)
     v_grid = np.linspace(v_lo, v_hi, nv)
 
@@ -411,7 +365,7 @@ def scalar_zone_classify(t: float, x: float, c: float, Omega: float, S: float = 
     z = Omega sqrt(t^2 - x^2/c^2); outside the cone the field is zero.
     """
     if S <= 0.0:
-        raise ValueError("threshold S must be positive")
+        raise InvalidArgument(f"threshold S must be positive, got S={S!r}")
     if t <= 0.0 or abs(x) >= c * t:
         return ScalarZoneLabel("zero", S)
     z = Omega * math.sqrt(t * t - (x / c) ** 2)

@@ -200,9 +200,9 @@ def _reference_classify(t, V, params, S):
     if not reals:
         return "zero", ()
     cp = crossing_point(params)
-    crossing = (
-        params.mu > 0.0 and x / cp.v_fast < t < x / cp.v_slow and 1 in reals and j_parameters(t, x, params).b < S
-    )
+    # the wedge test is on the ray, not on the point: at x = V t with V on a
+    # wedge edge, x / v_slow rounds to either side of t
+    crossing = params.mu > 0.0 and cp.v_slow < V < cp.v_fast and 1 in reals and j_parameters(t, x, params).b < S
     up = {i: i for i in reals}
 
     def find(i):
@@ -331,3 +331,64 @@ def test_non_positive_threshold_rejected():
             classify(-1.0, 3.0, DEFAULT_PARAMS, S=S)
         with pytest.raises(ValueError):
             zone_diagram(DEFAULT_PARAMS, (1.0, 10.0), (0.5, 1.0), shape=(3, 3), S=S)
+
+
+def test_wedge_edge_rays_have_no_crossing_link():
+    # on the rays V = v_slow and V = v_fast the pulse argument b vanishes and
+    # x / v_slow rounds to either side of t; the wedge test is on the ray, so
+    # neither edge fires the crossing link at any t
+    from wavezones.model import crossing_point
+
+    cp = crossing_point(DEFAULT_PARAMS)
+    dg = zone_diagram(DEFAULT_PARAMS, (2.0, 600.0), (cp.v_slow, cp.v_fast), shape=(400, 2))
+    assert list(dg.v_grid) == [cp.v_slow, cp.v_fast]
+    for V, row in zip(dg.v_grid, dg.labels):
+        runs = [row[0]] + [b for a, b in zip(row, row[1:]) if a != b]
+        assert runs == ["B", "Ai", "SP"], float(V)
+    assert dg.monotone
+
+
+@given(
+    st.floats(min_value=0.0, max_value=1.5),
+    st.floats(min_value=0.3, max_value=40.0),
+    st.floats(min_value=0.05, max_value=2.0, exclude_min=True, exclude_max=True),
+)
+def test_boundaries_lie_at_rate_thresholds(mu, S, V):
+    # every link separation is rate * t on the ray, so each boundary of a row
+    # sits at t = S / rate for one of its rates, and the label is constant
+    # between consecutive thresholds
+    import dataclasses
+
+    from wavezones import zones
+
+    params = dataclasses.replace(DEFAULT_PARAMS, mu=mu)
+    dg = zone_diagram(params, (1.0, 600.0), (V, V + 1e-3), shape=(40, 2), S=S)
+    for v in dg.v_grid:
+        row = zones._row(float(v), params)
+        taus = sorted(S / r for r in (row.rates if row else ()) if r > 0.0)
+        for key, pts in dg.boundaries.items():
+            for t, bv in pts:
+                if bv == v:
+                    assert any(abs(t - tau) <= 1e-3 * t for tau in taus), (key, t, float(v))
+        edges = [1.0] + [tau for tau in taus if 1.0 < tau < 600.0] + [600.0]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            labels = {zones._at(row, lo + f * (hi - lo), S)[0] for f in (0.01, 0.5, 0.99)}
+            assert len(labels) == 1, (lo, hi, float(v))
+
+
+@pytest.mark.parametrize("mu", ["0.0", "0.05", "0.5", "1.0"])
+def test_zone_labels_match_pinned_grid(mu):
+    # labels of `wavezones zones --grid 40x60` (default window and S), pinned
+    # before the row record stored link rates
+    import dataclasses
+    from pathlib import Path
+
+    params = dataclasses.replace(DEFAULT_PARAMS, mu=float(mu))
+    dg = zone_diagram(params, (1.0, 500.0), (0.5, 2.5), shape=(40, 60), S=3.0)
+    pinned = (Path(__file__).parent / "data" / f"zones_40x60_mu{mu}.txt").read_text().splitlines()
+    assert len(pinned) == len(dg.v_grid)
+    for V, row, line in zip(dg.v_grid, dg.labels, pinned):
+        want = line.split()
+        assert len(row) == len(want)
+        for t, got, w in zip(dg.t_grid, row, want):
+            assert got == w, f"first difference at (t, V) = ({t!r}, {V!r}): {got} != {w}"

@@ -138,9 +138,10 @@ def cmd_dispersion(args: argparse.Namespace, params: WaveguideParams) -> int:
 
 def _zone_rows(diag: ZoneDiagram) -> list[str]:
     rows = ["t,V,label\n"]
-    for i, V in enumerate(diag.v_grid):
-        for j, t in enumerate(diag.t_grid):
-            rows.append(f"{_num(float(t))},{_num(float(V))},{diag.labels[i][j]}\n")
+    ts = [_num(t) for t in diag.t_grid.tolist()]
+    for V, labels in zip(diag.v_grid.tolist(), diag.labels):
+        v = _num(V)
+        rows += [f"{t},{v},{label}\n" for t, label in zip(ts, labels)]
     return rows
 
 

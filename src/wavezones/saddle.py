@@ -19,8 +19,10 @@ Real saddles come from a table, built once per parameter set, of the pieces
 of each branch on which v_g is monotone (split at the group-velocity
 extrema): a piece holds one saddle exactly when V lies strictly inside its
 v_g range, and its position on the branch is the family index.  Complex
-saddles use damped Newton on k'(omega) - 1/V along a tracked branch
-continuation.
+saddles use damped Newton on k'(omega) - 1/V along a homotopy out from the
+merge speed v_e; :func:`complex_saddles_along` solves a whole grid of
+speeds by continuation along V instead, each Newton seeded with the root
+of the neighbouring speed, and falls back to the homotopy.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ __all__ = [
     "SaddlePoint",
     "find_real_saddles",
     "find_complex_saddles",
+    "complex_saddles_along",
     "merge_families",
     "pair_is_real",
     "phase_difference",
@@ -172,45 +175,86 @@ def find_complex_saddles(V: float, params: WaveguideParams):
 
     For a velocity maximum the pair leaves the real axis when V > v_e, for a
     minimum when V < v_e.  Each qualifying extremum yields one kept member,
-    the root of k'(omega) = 1/V with Im g > 0.
+    the root of k'(omega) = 1/V with Im g > 0, continued out from v_e.
     """
     if V >= params.c1 or V <= 0.0:
         return ()
-    out = []
+    return tuple(_complex_point(e, V, _homotopy_root(e, V, params), params)
+                 for e in dispersion.velocity_extrema(params) if _is_complex_side(e, V))
+
+
+def complex_saddles_along(vs, params: WaveguideParams) -> list[tuple[SaddlePoint, ...]]:
+    """:func:`find_complex_saddles` at every speed of vs, by continuation along V.
+
+    For each extremum the speeds on its complex side are visited in order of
+    |1/V - 1/v_e|.  The first is continued out from v_e as in the scalar
+    path; each later one is a Newton solve seeded with the root of the speed
+    before it, one step closer to the merge.  A seeded solve that fails or
+    lands on the Im g <= 0 member falls back to the scalar continuation, so
+    every root agrees with the scalar one to Newton's tolerance and a
+    failure raises the same NoConvergence.  (One exception: where the
+    extrema nearly merge, e.g. mu = 1 and V < 0.112, the scalar path's first
+    stage lands on a real root; the continuation keeps the decaying member.)
+    Returns one tuple per entry of vs, ordered as the scalar path orders
+    them; nothing is cached.
+    """
+    vs = [float(V) for V in vs]
+    found: list[list[SaddlePoint]] = [[] for _ in vs]
     for e in dispersion.velocity_extrema(params):
-        qty = (1.0 / e.v_e - 1.0 / V) / e.cubic_coeff
-        if qty >= 0.0:
-            continue  # pair is real (or exactly merged) on this side
-        # the seed omega_e + i sign sqrt(qty) with sign = -sign(c3) continues
-        # to the Im g > 0 member; the other sign is the fallback
-        first = -math.copysign(1.0, e.cubic_coeff)
+        side = [i for i, V in enumerate(vs) if 0.0 < V < params.c1 and _is_complex_side(e, V)]
+        side.sort(key=lambda i: abs(1.0 / vs[i] - 1.0 / e.v_e))
         root = None
-        for sign in (first, -first):
-            root = _continue_complex(e, V, sign, params)
-            if root is not None:
-                w, k, d = root
-                if (k - w / V).imag > 0.0:
-                    break
-            root = None
-        if root is None:
-            raise NoConvergence(
-                f"complex saddle continuation failed at extremum omega_e={e.omega_e:.6g}, V={V:.6g}"
-            )
-        w, k, d = root
-        out.append(
-            SaddlePoint(
-                omega_star=w,
-                k_star=k,
-                branch=e.branch,
-                index=merge_families(e)[1],
-                alpha=d.kpp,
-                g=k - w / V,
-                is_real=False,
-                V=V,
-                params=params,
-            )
-        )
-    return tuple(out)
+        for i in side:
+            V = vs[i]
+            root = (_seeded_root(root, V, params) if root else None) or _homotopy_root(e, V, params)
+            found[i].append(_complex_point(e, V, root, params))
+    return [tuple(f) for f in found]
+
+
+def _seeded_root(seed, V: float, params: WaveguideParams):
+    """(omega, k, derivatives) of the decaying member at speed V by Newton from
+    the (omega, k) of seed; None when Newton fails or ends on Im g <= 0."""
+    res = _newton_system(seed[0], seed[1], 1.0 / V, params)
+    if res is None or (res[1] - res[0] / V).imag <= 0.0:
+        return None
+    return (*res, dispersion.derivatives_at(res[0], res[1], params))
+
+
+def _is_complex_side(e, V: float) -> bool:
+    """Whether the extremum's pair has left the real axis at speed V."""
+    return (1.0 / e.v_e - 1.0 / V) / e.cubic_coeff < 0.0
+
+
+def _homotopy_root(e, V: float, params: WaveguideParams):
+    """(omega, k, derivatives) of the kept member, continued out from v_e.
+
+    The seed omega_e + i sign sqrt(qty) with sign = -sign(c3) continues to
+    the Im g > 0 member; the other sign is the fallback.
+    """
+    first = -math.copysign(1.0, e.cubic_coeff)
+    for sign in (first, -first):
+        root = _continue_complex(e, V, sign, params)
+        if root is not None:
+            w, k, d = root
+            if (k - w / V).imag > 0.0:
+                return root
+    raise NoConvergence(f"complex saddle continuation failed at extremum omega_e={e.omega_e:.6g}, V={V:.6g}")
+
+
+def _complex_point(e, V: float, root, params: WaveguideParams) -> SaddlePoint:
+    """The kept complex saddle of extremum e at speed V from (omega, k, derivatives)."""
+    w, k, d = root
+    return SaddlePoint(
+        omega_star=w,
+        k_star=k,
+        branch=e.branch,
+        index=merge_families(e)[1],
+        alpha=d.kpp,
+        g=k - w / V,
+        is_real=False,
+        V=V,
+        params=params,
+    )
 
 
 def _continue_complex(e, V: float, sign: float, params: WaveguideParams):

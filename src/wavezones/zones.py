@@ -27,6 +27,10 @@ with its rate; :func:`_state` compares every rate * t with S; :func:`_label`
 runs the cluster and letter logic once per distinct state and memoizes the
 result in the row.  The crossing link exists only on rays strictly inside
 the exchange wedge, v_slow < V < v_fast.
+
+:func:`classify` caches its rows per V.  :func:`zone_diagram` builds its
+rows with :func:`_build_row` outside that cache, from complex saddles that
+:func:`saddle.complex_saddles_along` solves for the whole V grid at once.
 """
 
 from __future__ import annotations
@@ -40,7 +44,14 @@ import numpy as np
 from .dispersion import velocity_extrema
 from .errors import InvalidArgument, UnknownLabel
 from .model import WaveguideParams, crossing_point, j_parameters
-from .saddle import find_complex_saddles, find_real_saddles, merge_families, pair_is_real, phase_difference
+from .saddle import (
+    complex_saddles_along,
+    find_complex_saddles,
+    find_real_saddles,
+    merge_families,
+    pair_is_real,
+    phase_difference,
+)
 
 __all__ = [
     "TermDescriptor",
@@ -145,15 +156,19 @@ _ZERO = ZoneLabel("zero", (), 0, None)
 def _row(V: float, params: WaveguideParams):
     """The row record at speed V; None when every t > 0 is zero.
 
-    Cached for the 64 most recent speeds: a ray or a diagram row reuses
-    one record, and a sweep over V keeps only a few rows alive.
+    Cached for the 64 most recent speeds: a ray reuses one record, and a
+    sweep over V keeps only a few rows alive.
     """
     if V >= params.c1:
         return None
-    reals = {s.index: s for s in find_real_saddles(V, params)}
-    if not reals:
-        return None
-    complexes = {s.index: s for s in find_complex_saddles(V, params)}
+    reals = find_real_saddles(V, params)
+    return _build_row(V, params, reals, find_complex_saddles(V, params)) if reals else None
+
+
+def _build_row(V: float, params: WaveguideParams, reals, complexes) -> _Row:
+    """The row record at speed V < c1 from its (nonempty) real and complex saddles."""
+    reals = {s.index: s for s in reals}
+    complexes = {s.index: s for s in complexes}
     links, rates = [], []
 
     # crossing link: families 1 and 3 share the exchange-pulse region when
@@ -312,13 +327,15 @@ class ZoneDiagram:
 def zone_diagram(params: WaveguideParams, t_range, v_range, shape=(60, 60), S: float = 3.0) -> ZoneDiagram:
     """Classify a (t, V) grid and locate zone boundaries along each V row.
 
-    Each V row builds its row record once; every grid point, and every
-    bisection step, then costs one link state and a memo lookup, exactly
-    what :func:`classify` returns there.  Boundary points are bisected on
-    that state to 1e-3 relative accuracy in t.  The monotone flag reports
-    whether every (left,right) label transition occurs at most once per
-    row, the structure the threshold metrics (all increasing in t at fixed
-    V) imply.
+    The complex saddles of every row come from one continuation along V
+    (:func:`saddle.complex_saddles_along`).  Each V row builds its row
+    record once, outside :func:`classify`'s row cache; every grid point,
+    and every bisection step, then costs one link state and a memo lookup,
+    exactly what :func:`classify` returns there.  Boundary points are
+    bisected on that state to 1e-3 relative accuracy in t.  The monotone
+    flag reports whether every (left,right) label transition occurs at most
+    once per row, the structure the threshold metrics (all increasing in t
+    at fixed V) imply.
     """
     nt, nv = shape
     t_lo, t_hi = t_range
@@ -330,18 +347,23 @@ def zone_diagram(params: WaveguideParams, t_range, v_range, shape=(60, 60), S: f
     t_grid = np.linspace(t_lo, t_hi, nt)
     v_grid = np.linspace(v_lo, v_hi, nv)
 
+    ts = t_grid.tolist()
+    vs = v_grid.tolist()
+    reals = [find_real_saddles(V, params) for V in vs]
+    solved = [V for V, r in zip(vs, reals) if r]
+    complexes = dict(zip(solved, complex_saddles_along(solved, params)))
     labels = []
     boundaries: dict[tuple[str, str], list[tuple[float, float]]] = {}
     monotone = True
-    for V in v_grid:
-        rec = _row(float(V), params)
-        row = [_at(rec, float(tt), S)[0].primary for tt in t_grid]
+    for V, real in zip(vs, reals):
+        rec = _build_row(V, params, real, complexes[V]) if real else None
+        row = [_at(rec, tt, S)[0].primary for tt in ts]
         labels.append(row)
         seen: set[tuple[str, str]] = set()
         for j in range(nt - 1):
             if row[j] == row[j + 1]:
                 continue
-            lo, hi = float(t_grid[j]), float(t_grid[j + 1])
+            lo, hi = ts[j], ts[j + 1]
             left = row[j]
             while (hi - lo) > 1e-3 * hi:
                 mid = 0.5 * (lo + hi)
@@ -353,7 +375,7 @@ def zone_diagram(params: WaveguideParams, t_range, v_range, shape=(60, 60), S: f
             if key in seen:
                 monotone = False
             seen.add(key)
-            boundaries.setdefault(key, []).append((0.5 * (lo + hi), float(V)))
+            boundaries.setdefault(key, []).append((0.5 * (lo + hi), V))
     for pts in boundaries.values():
         pts.sort(key=lambda p: p[1])
     return ZoneDiagram(t_grid=t_grid, v_grid=v_grid, labels=labels, boundaries=boundaries, monotone=monotone)

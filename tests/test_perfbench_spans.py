@@ -40,3 +40,19 @@ def test_tracer_sees_assembly_layers():
     assert sum(name(i) == "zones.classify" for i in spans) == 2
     assert any(name(i) == "asymptotics.sp_term" for i in spans)
     assert tracer.summary(2)["asymptotics.oracle_fallbacks"][0] == 1
+
+
+def test_tracer_sees_zones_layers(tmp_path):
+    # every name the tracer rebinds must still exist, or install() fails and
+    # a traced zone_atlas worker exits non-zero
+    from wavezones import cli
+
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["zones", "--grid", "5x8", "--out", str(tmp_path / "zones.csv")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    names = {tracer.names[tracer.name[i]] for i in range(len(tracer.start))}
+    assert {"cli", "zones.zone_diagram", "saddle.real"} <= names

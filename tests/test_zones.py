@@ -376,19 +376,45 @@ def test_boundaries_lie_at_rate_thresholds(mu, S, V):
             assert len(labels) == 1, (lo, hi, float(v))
 
 
+_PINNED_GRIDS = {  # file name: (t_range, v_range, shape) of the `wavezones zones` call
+    "40x60": ((1.0, 500.0), (0.5, 2.5), (40, 60)),
+    "40x400": ((5.0, 600.0), (0.3, 2.1), (40, 400)),
+}
+
+
 @pytest.mark.parametrize("mu", ["0.0", "0.05", "0.5", "1.0"])
 def test_zone_labels_match_pinned_grid(mu):
     # labels of `wavezones zones --grid 40x60` (default window and S), pinned
-    # before the row record stored link rates
+    # before the row record stored link rates, and of `zones --grid 40x400
+    # --t-min 5 --t-max 600 --v-min 0.3 --v-max 2.1`, pinned before the
+    # diagram solved its complex saddles by continuation along V
     import dataclasses
     from pathlib import Path
 
     params = dataclasses.replace(DEFAULT_PARAMS, mu=float(mu))
-    dg = zone_diagram(params, (1.0, 500.0), (0.5, 2.5), shape=(40, 60), S=3.0)
-    pinned = (Path(__file__).parent / "data" / f"zones_40x60_mu{mu}.txt").read_text().splitlines()
-    assert len(pinned) == len(dg.v_grid)
-    for V, row, line in zip(dg.v_grid, dg.labels, pinned):
-        want = line.split()
-        assert len(row) == len(want)
-        for t, got, w in zip(dg.t_grid, row, want):
-            assert got == w, f"first difference at (t, V) = ({t!r}, {V!r}): {got} != {w}"
+    for name, (t_range, v_range, shape) in _PINNED_GRIDS.items():
+        dg = zone_diagram(params, t_range, v_range, shape=shape, S=3.0)
+        pinned = (Path(__file__).parent / "data" / f"zones_{name}_mu{mu}.txt").read_text().splitlines()
+        assert len(pinned) == len(dg.v_grid)
+        for V, row, line in zip(dg.v_grid, dg.labels, pinned):
+            want = line.split()
+            assert len(row) == len(want)
+            for t, got, w in zip(dg.t_grid, row, want):
+                assert got == w, f"{name}: first difference at (t, V) = ({t!r}, {V!r}): {got} != {w}"
+
+
+@pytest.mark.parametrize("mu", [0.05, 0.5, 1.0])
+def test_diagram_rows_match_classify_and_stay_out_of_its_cache(mu):
+    # the diagram solves its complex saddles by continuation along V; its
+    # labels are what classify says point by point, and classify does not
+    # depend on whether a diagram ran first
+    import dataclasses
+
+    from wavezones import zones
+
+    params = dataclasses.replace(DEFAULT_PARAMS, mu=mu)
+    zones._row.cache_clear()
+    dg = zone_diagram(params, (5.0, 600.0), (0.3, 2.1), shape=(12, 90), S=3.0)
+    assert zones._row.cache_info().currsize == 0
+    for V, row in zip(dg.v_grid, dg.labels):
+        assert row == [classify(float(t), float(V), params)[0].primary for t in dg.t_grid], float(V)

@@ -52,10 +52,11 @@ __all__ = [
 
 
 def _pq_coeffs(omega, params: WaveguideParams):
-    w2 = np.asarray(omega) ** 2
+    """(A4, B, C) of D = A4 k^4 - B k^2 + C, from the symbol's entries at k = 0."""
+    P0, Q0 = symbol_pq(np.asarray(omega), 0.0, params)
     A4 = (params.c1 * params.c2) ** 2
-    B = params.c1**2 * (w2 - params.omega2**2) + params.c2**2 * (w2 - params.omega1**2)
-    C = (w2 - params.omega1**2) * (w2 - params.omega2**2) - params.mu**2
+    B = params.c1**2 * Q0 + params.c2**2 * P0
+    C = P0 * Q0 - params.mu**2
     return A4, B, C
 
 

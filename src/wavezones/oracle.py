@@ -180,12 +180,10 @@ def _tail_correction(w_end, t, x, params: WaveguideParams):
     for r in k_squared_roots(w_end, params):
         k = complex(_sqrt_upper(r))
         P, Q = symbol_pq(w_end, k, params)
-        Dk = symbol_dk(k, P, Q, params)
-        rate = (-symbol_dw(w_end, P, Q) / Dk) * x - t
+        rate = (-symbol_dw(w_end, P, Q) / symbol_dk(k, P, Q, params)) * x - t
         if abs(rate) < 0.1:
             continue
-        f = np.array(symbol_numerator(P, Q, params), dtype=complex)
-        tail += 1j * f / Dk * np.exp(1j * (k * x - w_end * t)) / rate
+        tail += 1j * modal_weight(w_end, k, params) * np.exp(1j * (k * x - w_end * t)) / rate
     return tail
 
 

@@ -19,10 +19,11 @@ Real saddles come from a table, built once per parameter set, of the pieces
 of each branch on which v_g is monotone (split at the group-velocity
 extrema): a piece holds one saddle exactly when V lies strictly inside its
 v_g range, and its position on the branch is the family index.  Complex
-saddles use damped Newton on k'(omega) - 1/V along a homotopy out from the
-merge speed v_e; :func:`complex_saddles_along` solves a whole grid of
-speeds by continuation along V instead, each Newton seeded with the root
-of the neighbouring speed, and falls back to the homotopy.
+saddles have one solver, :func:`complex_saddles_along`: damped Newton on
+k'(omega) - 1/V, seeded with the root of the neighbouring speed, or else
+continued along a homotopy out from the merge speed v_e whose first seed
+stays within _SEED_REACH of omega_e.  :func:`find_complex_saddles` is its
+batch of one, so a point and a grid of speeds get the same roots.
 """
 
 from __future__ import annotations
@@ -51,6 +52,12 @@ __all__ = [
 #: start, or at both ends when the piece ends at an extremum
 _OFFSETS = np.concatenate(([0.0], np.geomspace(1e-10, 1.0, 399)))
 _OFFSETS_BOTH = np.concatenate((0.5 * _OFFSETS, 1.0 - 0.5 * _OFFSETS[-2::-1]))
+
+#: stages of the complex-saddle homotopy, as fractions of the slowness step
+#: from 1/v_e to 1/V
+_LAMS = np.geomspace(1e-2, 1.0, 12)
+#: farthest |omega - omega_e| of the homotopy's first seed
+_SEED_REACH = 2.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -175,49 +182,36 @@ def find_complex_saddles(V: float, params: WaveguideParams):
 
     For a velocity maximum the pair leaves the real axis when V > v_e, for a
     minimum when V < v_e.  Each qualifying extremum yields one kept member,
-    the root of k'(omega) = 1/V with Im g > 0, continued out from v_e.
+    the root of k'(omega) = 1/V with Im g > 0, continued out from v_e: the
+    batch of one of :func:`complex_saddles_along`, so a grid agrees with it.
     """
-    if V >= params.c1 or V <= 0.0:
-        return ()
-    return tuple(_complex_point(e, V, _homotopy_root(e, V, params), params)
-                 for e in dispersion.velocity_extrema(params) if _is_complex_side(e, V))
+    return complex_saddles_along((V,), params)[0]
 
 
 def complex_saddles_along(vs, params: WaveguideParams) -> list[tuple[SaddlePoint, ...]]:
-    """:func:`find_complex_saddles` at every speed of vs, by continuation along V.
+    """The decaying complex saddles at every speed of vs, by continuation along V.
 
     For each extremum the speeds on its complex side are visited in order of
-    |1/V - 1/v_e|.  The first is continued out from v_e as in the scalar
-    path; each later one is a Newton solve seeded with the root of the speed
+    |1/V - 1/v_e|.  The first is continued out from v_e by the homotopy;
+    each later one is a Newton solve seeded with the root of the speed
     before it, one step closer to the merge.  A seeded solve that fails or
-    lands on the Im g <= 0 member falls back to the scalar continuation, so
-    every root agrees with the scalar one to Newton's tolerance and a
-    failure raises the same NoConvergence.  (One exception: where the
-    extrema nearly merge, e.g. mu = 1 and V < 0.112, the scalar path's first
-    stage lands on a real root; the continuation keeps the decaying member.)
-    Returns one tuple per entry of vs, ordered as the scalar path orders
-    them; nothing is cached.
+    lands on the Im g <= 0 member falls back to the homotopy, so every root
+    agrees with the homotopy's to Newton's tolerance and a failure raises
+    the homotopy's NoConvergence.  Returns one tuple per entry of vs,
+    ordered by extremum; nothing is cached.
     """
     vs = [float(V) for V in vs]
     found: list[list[SaddlePoint]] = [[] for _ in vs]
     for e in dispersion.velocity_extrema(params):
         side = [i for i, V in enumerate(vs) if 0.0 < V < params.c1 and _is_complex_side(e, V)]
         side.sort(key=lambda i: abs(1.0 / vs[i] - 1.0 / e.v_e))
-        root = None
+        point = None
         for i in side:
             V = vs[i]
-            root = (_seeded_root(root, V, params) if root else None) or _homotopy_root(e, V, params)
-            found[i].append(_complex_point(e, V, root, params))
+            seeded = _newton_system(point.omega_star, point.k_star, 1.0 / V, params) if point else None
+            point = _decaying_member(e, V, seeded, params) or _homotopy_root(e, V, params)
+            found[i].append(point)
     return [tuple(f) for f in found]
-
-
-def _seeded_root(seed, V: float, params: WaveguideParams):
-    """(omega, k, derivatives) of the decaying member at speed V by Newton from
-    the (omega, k) of seed; None when Newton fails or ends on Im g <= 0."""
-    res = _newton_system(seed[0], seed[1], 1.0 / V, params)
-    if res is None or (res[1] - res[0] / V).imag <= 0.0:
-        return None
-    return (*res, dispersion.derivatives_at(res[0], res[1], params))
 
 
 def _is_complex_side(e, V: float) -> bool:
@@ -225,62 +219,66 @@ def _is_complex_side(e, V: float) -> bool:
     return (1.0 / e.v_e - 1.0 / V) / e.cubic_coeff < 0.0
 
 
-def _homotopy_root(e, V: float, params: WaveguideParams):
-    """(omega, k, derivatives) of the kept member, continued out from v_e.
-
-    The seed omega_e + i sign sqrt(qty) with sign = -sign(c3) continues to
-    the Im g > 0 member; the other sign is the fallback.
-    """
-    first = -math.copysign(1.0, e.cubic_coeff)
-    for sign in (first, -first):
-        root = _continue_complex(e, V, sign, params)
-        if root is not None:
-            w, k, d = root
-            if (k - w / V).imag > 0.0:
-                return root
-    raise NoConvergence(f"complex saddle continuation failed at extremum omega_e={e.omega_e:.6g}, V={V:.6g}")
-
-
-def _complex_point(e, V: float, root, params: WaveguideParams) -> SaddlePoint:
-    """The kept complex saddle of extremum e at speed V from (omega, k, derivatives)."""
-    w, k, d = root
+def _decaying_member(e, V: float, root, params: WaveguideParams) -> SaddlePoint | None:
+    """The kept complex saddle of extremum e at speed V from a solve's
+    (omega, k); None when the solve failed or its Im g <= 0."""
+    if root is None:
+        return None
+    w, k = root
+    g = k - w / V
+    if g.imag <= 0.0:
+        return None
     return SaddlePoint(
         omega_star=w,
         k_star=k,
         branch=e.branch,
         index=merge_families(e)[1],
-        alpha=d.kpp,
-        g=k - w / V,
+        alpha=dispersion.derivatives_at(w, k, params).kpp,
+        g=g,
         is_real=False,
         V=V,
         params=params,
     )
 
 
-def _continue_complex(e, V: float, sign: float, params: WaveguideParams):
-    """Walk the complex saddle from the merge threshold out to speed V.
+def _homotopy_root(e, V: float, params: WaveguideParams) -> SaddlePoint:
+    """The kept complex saddle of extremum e at speed V, continued out from v_e.
 
-    Homotopy in the slowness 1/V_lam = 1/v_e + lam (1/V - 1/v_e): near the
-    threshold the local cubic model seeds the stage, and each later stage
-    reuses the previous root.  Treating (omega, k) as independent unknowns
-    of the system {D = 0, D_w + D_k / V = 0} avoids any branch tracking,
-    which would break where the saddle path skirts a branch point.
+    The seed omega_e + i sign sqrt(qty) with sign = -sign(c3) continues to
+    the Im g > 0 member; the other sign is the fallback.
+    """
+    first = -math.copysign(1.0, e.cubic_coeff)
+    for sign in (first, -first):
+        if point := _decaying_member(e, V, _continue_complex(e, V, sign, params), params):
+            return point
+    raise NoConvergence(f"complex saddle continuation failed at extremum omega_e={e.omega_e:.6g}, V={V:.6g}")
+
+
+def _continue_complex(e, V: float, sign: float, params: WaveguideParams):
+    """Walk the complex saddle from the merge threshold out to speed V: (omega, k) or None.
+
+    Homotopy in the slowness 1/V_lam = 1/v_e + lam (1/V - 1/v_e): the local
+    cubic model seeds the first stage, and each later stage reuses the
+    previous root.  Where the first stage's seed would lie farther than
+    _SEED_REACH from omega_e, outside the cubic model (Newton can end on a
+    real root there), the ladder gains stages towards v_e at its own ratio.
+    Treating (omega, k) as independent unknowns of the system
+    {D = 0, D_w + D_k / V = 0} avoids any branch tracking, which would break
+    where the saddle path skirts a branch point.
     """
     d_slow = 1.0 / V - 1.0 / e.v_e
-    lams = np.geomspace(1e-2, 1.0, 12)
-    w = k = None
+    lams = _LAMS
+    while lams[0] * d_slow / e.cubic_coeff > _SEED_REACH**2:
+        lams = np.insert(lams, 0, lams[0] ** 2 / lams[1])
+    qty = lams[0] * d_slow / e.cubic_coeff  # = -(1/v_e - 1/V_lam)/a > 0 off-axis
+    dw = complex(0.0, sign * math.sqrt(max(qty, 0.0)))
+    w, k = e.omega_e + dw, e.k_e + dw / e.v_e  # linear branch extrapolation, k' = 1/v_e
     for lam in lams:
-        inv_v = 1.0 / e.v_e + lam * d_slow
-        if w is None:
-            qty = lam * d_slow / e.cubic_coeff  # = -(1/v_e - 1/V_lam)/a > 0 off-axis
-            dw = complex(0.0, sign * math.sqrt(max(qty, 0.0)))
-            w = e.omega_e + dw
-            k = e.k_e + dw / e.v_e  # linear branch extrapolation, k' = 1/v_e
-        res = _newton_system(w, k, inv_v, params)
+        res = _newton_system(w, k, 1.0 / e.v_e + lam * d_slow, params)
         if res is None:
             return None
         w, k = res
-    return w, k, dispersion.derivatives_at(w, k, params)
+    return w, k
 
 
 def _newton_system(w: complex, k: complex, inv_v: float, params: WaveguideParams):

@@ -180,3 +180,25 @@ def test_assembly_delegates_near_source():
     assert fv.used_oracle
     u = field_modal_integral(3.0, 3.0, DEFAULT_PARAMS)
     assert np.allclose(fv.u, u, rtol=1e-6, atol=1e-12)
+
+
+def test_assembly_matches_pinned_field_grid():
+    # the assembled side of `wavezones field --grid 6x5 --t-min 30 --t-max 220
+    # --v-min 0.65 --v-max 2.2` (the field_grid benchmark window), pinned with
+    # its zone and term labels; no point there falls back to the oracle
+    import csv
+    from pathlib import Path
+
+    with open(Path(__file__).parent / "data" / "field_6x5.csv") as fh:
+        pinned = list(csv.DictReader(fh))
+    points = [(t, V) for t in np.linspace(30.0, 220.0, 6).tolist() for V in np.linspace(0.65, 2.2, 5).tolist()]
+    assert len(pinned) == len(points)
+    for (t, V), row in zip(points, pinned):
+        assert (t, V) == (float(row["t"]), float(row["V"]))
+        fv = assemble_field(t, V * t, DEFAULT_PARAMS)
+        assert not fv.used_oracle
+        terms = "+".join(f"{d.kind}[{' '.join(str(i) for i in d.saddles)}]" for d in fv.terms) or "-"
+        assert (fv.zone.primary, terms) == (row["zone"], row["terms"]), (t, V)
+        envelope = 2.0 * sum(np.max(np.abs(d.value)) for d in fv.terms)
+        want = np.array([float(row["u1"]), float(row["u2"])])
+        assert np.all(np.abs(fv.u - want) <= 1e-14 * envelope), (t, V)

@@ -41,6 +41,17 @@ def test_tracer_sees_assembly_layers():
     assert any(name(i) == "asymptotics.sp_term" for i in spans)
     assert tracer.summary(2)["asymptotics.oracle_fallbacks"][0] == 1
 
+    def under_assembly(i):
+        while (i := tracer.parent[i]) >= 0:
+            if name(i) == "asymptotics.assemble_field":
+                return True
+        return False
+
+    # the saddle lookups that perfbench reads (saddle.real, saddle.complex)
+    # must still go through the names the tracer rebinds
+    saddle_spans = {name(i) for i in spans if name(i).startswith("saddle.") and under_assembly(i)}
+    assert saddle_spans == {"saddle.real", "saddle.complex"}
+
 
 def test_tracer_sees_zones_layers(tmp_path):
     # every name the tracer rebinds must still exist, or install() fails and

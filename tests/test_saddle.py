@@ -186,7 +186,7 @@ def _complex_side_ladder(p):
 def test_preferred_sign_continues_to_the_decaying_member(mu):
     p = dataclasses.replace(DEFAULT_PARAMS, mu=mu)
     for e, V in _complex_side_ladder(p):
-        w, k, _ = saddle._continue_complex(e, V, -math.copysign(1.0, e.cubic_coeff), p)
+        w, k = saddle._continue_complex(e, V, -math.copysign(1.0, e.cubic_coeff), p)
         assert (k - w / V).imag > 0.0, (mu, e.kind, V)
 
 
@@ -250,19 +250,24 @@ def _diagram_speeds(p, n):
     return sorted(np.linspace(0.3, 2.1, n).tolist() + [V for V in near if V < p.c1])
 
 
-@pytest.mark.parametrize("mu", [0.05, 0.3, 0.5, 1.0, 1.5])
-@pytest.mark.parametrize("n", [60, 400])
-def test_seeded_roots_agree_with_scalar(mu, n):
-    p = dataclasses.replace(DEFAULT_PARAMS, mu=mu)
-    vs = _diagram_speeds(p, n)
+def _assert_grid_matches_points(vs, p):
+    """The roots of complex_saddles_along(vs) are those of
+    find_complex_saddles at each V, to 1e-9 relative."""
     for V, got in zip(vs, saddle.complex_saddles_along(vs, p)):
         want = find_complex_saddles(V, p)
         assert [(s.index, s.branch, s.is_real, s.V) for s in got] == [(s.index, s.branch, s.is_real, s.V) for s in want]
         for a, b in zip(got, want):
-            assert abs(a.omega_star - b.omega_star) <= 1e-9 * abs(b.omega_star), (mu, V)
-            assert abs(a.k_star - b.k_star) <= 1e-9 * abs(b.k_star), (mu, V)
-            assert abs(a.alpha - b.alpha) <= 1e-6 * (1.0 + abs(b.alpha)), (mu, V)
+            assert abs(a.omega_star - b.omega_star) <= 1e-9 * abs(b.omega_star), (p.mu, V)
+            assert abs(a.k_star - b.k_star) <= 1e-9 * abs(b.k_star), (p.mu, V)
+            assert abs(a.alpha - b.alpha) <= 1e-6 * (1.0 + abs(b.alpha)), (p.mu, V)
             assert a.g.imag > 0.0
+
+
+@pytest.mark.parametrize("mu", [0.05, 0.3, 0.5, 1.0, 1.5])
+@pytest.mark.parametrize("n", [60, 400])
+def test_seeded_roots_agree_with_scalar(mu, n):
+    p = dataclasses.replace(DEFAULT_PARAMS, mu=mu)
+    _assert_grid_matches_points(_diagram_speeds(p, n), p)
 
 
 def test_no_complex_saddles_without_coupling():
@@ -343,15 +348,27 @@ def test_diagram_raises_like_the_scalar_path(monkeypatch):
     assert "V=1.6" in str(scalar.value) and "omega_e=" in str(scalar.value)
 
 
-@pytest.mark.xfail(strict=True, reason="the homotopy's first stage lands on the real branch-1 saddle")
 def test_scalar_continuation_keeps_the_complex_member_far_below_v_e():
-    # at mu = 1 the extrema nearly merge, and below V = 0.112 the cubic seed of
-    # the homotopy's first stage lies outside the cubic model; Newton then ends
-    # on the real axis (Im g ~ 1e-144) and family 6 is a real root.  The
-    # continuation along a grid of V keeps the decaying member there.
+    # at mu = 1 the extrema nearly merge, and far below v_e a homotopy whose
+    # first stage sits 1% of the way from 1/v_e to 1/V seeds outside the
+    # cubic model, where Newton ends on the real axis (Im g ~ 1e-163); the
+    # bounded first seed keeps the decaying member there
     p = dataclasses.replace(DEFAULT_PARAMS, mu=1.0)
     vs = np.linspace(0.1, 1.49, 300).tolist()
     (seeded,) = saddle.complex_saddles_along(vs, p)[0]
     assert seeded.omega_star.imag < -0.5
     (scalar,) = find_complex_saddles(0.1, p)
     assert abs(scalar.omega_star - seeded.omega_star) <= 1e-9 * abs(seeded.omega_star)
+
+
+@pytest.mark.parametrize("mu", [0.7, 0.8, 0.9, 1.0])
+def test_point_and_grid_agree_where_the_extrema_nearly_merge(mu):
+    # far below v_e (V < 0.027 at mu = 0.7 up to V < 0.112 at mu = 1) a first
+    # stage 1% of the way from 1/v_e to 1/V seeds outside the cubic model, and
+    # Newton can end there on a real root
+    p = dataclasses.replace(DEFAULT_PARAMS, mu=mu)
+    vs = np.linspace(0.02, 1.49, 120).tolist()
+    _assert_grid_matches_points(vs, p)
+    sixes = [s for V in vs for s in find_complex_saddles(V, p) if s.index == 6]
+    assert len(sixes) > 100
+    assert all(abs(s.omega_star.imag) > 1e-2 for s in sixes)

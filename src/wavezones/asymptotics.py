@@ -8,9 +8,10 @@ and each evaluator folds in the i/(2 pi) inversion prefactor so the terms
 of one point can be summed directly.  Families:
 
   * stationary-point terms, real or complex saddle (x^{-1/2} spreading);
-  * Airy terms near a group-velocity extremum, in a locally-uniform
-    two-saddle calibration that degrades gracefully to the classical
-    one-point form at the merge;
+  * Airy terms near a group-velocity extremum: one uniform two-saddle
+    (Chester-Friedman-Ursell) form on both sides of the extremum, from the
+    real pair or a complex saddle and its conjugate, and the classical
+    one-point form only where the pair is missing (V = v_e to rounding);
   * the exchange pulse (Bessel J0 carrier at the crossing frequency)
     inside its wedge;
   * the cut-encircling special function q_function used by the
@@ -28,10 +29,12 @@ import math
 import numpy as np
 
 from . import oracle, zones
-from .errors import DegenerateCurvature, InvalidArgument, NoConvergence, OutsideWedge, WrongSignCurvature
+from .errors import DegenerateCurvature, InvalidArgument, NoConvergence, OutsideWedge, UnknownLabel, WrongSignCurvature
 from .model import WaveguideParams, amplitude_A, crossing_point, j_parameters, modal_weight
-from .saddle import SaddlePoint, find_complex_saddles, find_real_saddles, merge_families, pair_is_real, phase_difference
-from .special import airy_ai, airy_ai_prime, bessel_j0
+from .saddle import SaddlePoint, find_complex_saddles, find_real_saddles, merge_families, pair_is_real
+# airy_ai_prime is unused here, but perfbench/spans.py rebinds it (with
+# airy_ai and bessel_j0) in this module, and its install() fails without it
+from .special import airy_ai, airy_ai_prime, airy_pair, bessel_j0
 from .zones import TermDescriptor
 
 __all__ = [
@@ -78,31 +81,31 @@ def sp_term(sp: SaddlePoint, t: float, x: float, params: WaveguideParams) -> np.
 # Airy family
 
 
-def _pair_calibrated(sp_a: SaddlePoint, sp_b: SaddlePoint, t, x, params) -> np.ndarray:
-    """Two-real-saddle Airy calibration (oscillatory side of an extremum)."""
-    if not (sp_a.alpha.real > 0) ^ (sp_b.alpha.real > 0):
-        raise WrongSignCurvature("pair calibration needs opposite-curvature saddles")
-    p, q = (sp_a, sp_b) if sp_a.alpha.real > 0 else (sp_b, sp_a)
-    phi_p = p.k_star.real * x - p.omega_star.real * t
-    phi_q = q.k_star.real * x - q.omega_star.real * t
-    dphi = phi_q - phi_p
-    xi = (0.75 * dphi) ** (2.0 / 3.0)
-    sig_p = modal_weight(p.omega_star, p.k_star, params) * math.sqrt(_TWO_PI / (abs(p.alpha) * x))
-    sig_q = modal_weight(q.omega_star, q.k_star, params) * math.sqrt(_TWO_PI / (abs(q.alpha) * x))
-    carrier = np.exp(0.5j * (phi_p + phi_q))
-    bracket = (sig_p + sig_q) * xi**0.25 * airy_ai(-xi) - 1j * (sig_p - sig_q) * airy_ai_prime(-xi) / xi**0.25
-    return (1j / _TWO_PI) * math.sqrt(math.pi) * carrier * bracket
+def _pair_calibrated(p: SaddlePoint, q: SaddlePoint, t, x, params) -> np.ndarray:
+    """Chester-Friedman-Ursell (uniform two-saddle) Airy form of the merging pair p, q.
 
-
-def _decay_calibrated(sp_c: SaddlePoint, t, x, params) -> np.ndarray:
-    """Complex-saddle Airy calibration (shadow side of an extremum)."""
-    g = sp_c.g
-    dphi = 2.0 * x * g.imag
-    xi = (0.75 * dphi) ** (2.0 / 3.0)
-    sig = modal_weight(sp_c.omega_star, sp_c.k_star, params) * np.sqrt(_TWO_PI / (-1j * sp_c.alpha * x))
-    carrier = np.exp(1j * x * g.real)
-    bracket = xi**0.25 * airy_ai(xi) - airy_ai_prime(xi) / xi**0.25
-    return (1j / _TWO_PI) * math.sqrt(math.pi) * carrier * sig * bracket
+    With phi = k* x - omega* t and sp_term's amplitudes S = h sqrt(2 pi / (-i alpha x))
+    turned to A_p = S_p e^{-i pi/4}, A_q = S_q e^{i pi/4}, the value is
+    (i / 2 pi) sqrt(pi) e^{i (phi_p + phi_q) / 2} [(A_p + A_q) z4 Ai(zeta) - i (A_p - A_q) Ai'(zeta) / z4],
+    xi = (3/4 |phi_q - phi_p|)^{2/3}, z4 = (-zeta)^{1/4} (principal roots).  A real
+    pair (p the member with alpha > 0) has zeta = -xi; a complex saddle p with its
+    conjugate q has zeta = +xi, and the form tends to p's sp_term as xi grows.
+    """
+    if p.is_real:
+        if not (p.alpha.real > 0) ^ (q.alpha.real > 0):
+            raise WrongSignCurvature("pair calibration needs opposite-curvature saddles")
+        if q.alpha.real > 0:
+            p, q = q, p
+    phi_p, phi_q = (s.k_star * x - s.omega_star * t for s in (p, q))
+    xi = (0.75 * abs(phi_q - phi_p)) ** (2.0 / 3.0)
+    zeta = -xi if p.is_real else xi
+    z4 = (-zeta + 0j) ** 0.25
+    rot = complex(math.sqrt(0.5), -math.sqrt(0.5))  # e^{-i pi/4}
+    a_p, a_q = (modal_weight(s.omega_star, s.k_star, params) * np.sqrt(_TWO_PI / (-1j * s.alpha * x)) * r
+                for s, r in ((p, rot), (q, rot.conjugate())))
+    ai, aip = airy_pair(zeta)
+    bracket = (a_p + a_q) * z4 * ai - 1j * (a_p - a_q) * aip / z4
+    return (1j / _TWO_PI) * math.sqrt(math.pi) * np.exp(0.5j * (phi_p + phi_q)) * bracket
 
 
 def _local_airy(ext, t, x, params) -> np.ndarray:
@@ -115,16 +118,12 @@ def _local_airy(ext, t, x, params) -> np.ndarray:
     return 1j * h * airy_ai(s) * carrier / (x * abs(a)) ** (1.0 / 3.0)
 
 
-_AIRY_SWITCH = 0.5  # phase split below which the calibrated forms cancel badly
-
-
 def airy_term(ext, t: float, x: float, params: WaveguideParams) -> np.ndarray:
     """Airy contribution of the group-velocity extremum ext at (t, x).
 
-    Picks the oscillatory two-saddle calibration, the complex-saddle decay
-    calibration, or the local merge form, by which side of v_e the ray V
-    falls on and how separated the merging saddles are.  The extremum kind
-    must match its curvature sign (WrongSignCurvature otherwise).
+    The two-saddle form on both sides of v_e; the one-point form only where the
+    pair is missing (V = v_e to rounding).  The extremum kind must match its
+    curvature sign (WrongSignCurvature otherwise).
     """
     if x <= 0.0 or t <= 0.0:
         raise InvalidArgument(f"Airy term needs t > 0 and x > 0, got t={t!r}, x={x!r}")
@@ -135,13 +134,13 @@ def airy_term(ext, t: float, x: float, params: WaveguideParams) -> np.ndarray:
     if pair_is_real(ext, V):
         got = {s.index: s for s in find_real_saddles(V, params)}
         if all(i in got for i in pair):
-            a, b = (got[i] for i in pair)
-            if phase_difference(a, b, t, x) >= _AIRY_SWITCH:
-                return _pair_calibrated(a, b, t, x, params)
-        return _local_airy(ext, t, x, params)
-    got = {s.index: s for s in find_complex_saddles(V, params)}
-    if partner in got and 2.0 * x * got[partner].g.imag >= _AIRY_SWITCH:
-        return _decay_calibrated(got[partner], t, x, params)
+            return _pair_calibrated(*(got[i] for i in pair), t, x, params)
+    else:
+        # the pair's other member is the kept saddle's conjugate: D has real coefficients
+        for p in find_complex_saddles(V, params):
+            if p.index == partner:
+                conj = {f: getattr(p, f).conjugate() for f in ("omega_star", "k_star", "alpha", "g")}
+                return _pair_calibrated(p, dataclasses.replace(p, **conj), t, x, params)
     return _local_airy(ext, t, x, params)
 
 
@@ -308,7 +307,7 @@ def assemble_field(t: float, x: float, params: WaveguideParams, S: float = 3.0) 
         elif d.kind == "Ai":
             value = airy_term(d.extremum, t, x, params)
         else:
-            raise ValueError(f"unexpected term kind {d.kind!r} in zone {label.primary!r}")
+            raise UnknownLabel(f"unexpected term kind {d.kind!r} in zone {label.primary!r}")
         total += value
         terms.append(TermDescriptor(d.kind, d.saddles, value, d.note, d.extremum))
     return FieldValue(u=2.0 * np.real(total), zone=label, terms=terms, used_oracle=False)

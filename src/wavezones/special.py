@@ -9,8 +9,9 @@ below 1e-9 on [-20, 20] and graceful decay beyond.
 Series/seam layout:
 
     bessel_j0 : Maclaurin for |x| <= 12, cos/sin asymptotics beyond.
-    airy_ai   : Maclaurin for |z| <= 6.5, exponential/oscillatory
-    airy_ai_prime                         expansions beyond.
+    airy_pair : Ai and Ai' together (airy_ai and airy_ai_prime are its
+                halves); Maclaurin for |z| <= 6.5, exponential/oscillatory
+                expansions beyond.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 
 import numpy as np
 
-__all__ = ["bessel_j0", "airy_ai", "airy_ai_prime"]
+__all__ = ["bessel_j0", "airy_pair", "airy_ai", "airy_ai_prime"]
 
 _J0_SEAM = 12.0
 _AIRY_SEAM = 6.5
@@ -202,7 +203,8 @@ def _airy_oscillatory(z):
     return ai, aip
 
 
-def _airy_pair(x):
+def airy_pair(x):
+    """(Ai, Ai') for real argument, from one evaluation of each region's series."""
     arr, scalar = _as_array(x)
     a = np.atleast_1d(arr).astype(float)
     ai = np.empty_like(a)
@@ -223,9 +225,9 @@ def _airy_pair(x):
 
 def airy_ai(z):
     """Airy function Ai for real argument."""
-    return _airy_pair(z)[0]
+    return airy_pair(z)[0]
 
 
 def airy_ai_prime(z):
     """Derivative Ai' for real argument."""
-    return _airy_pair(z)[1]
+    return airy_pair(z)[1]

@@ -329,13 +329,14 @@ def zone_diagram(params: WaveguideParams, t_range, v_range, shape=(60, 60), S: f
 
     The complex saddles of every row come from one continuation along V
     (:func:`saddle.complex_saddles_along`).  Each V row builds its row
-    record once, outside :func:`classify`'s row cache; every grid point,
-    and every bisection step, then costs one link state and a memo lookup,
-    exactly what :func:`classify` returns there.  Boundary points are
-    bisected on that state to 1e-3 relative accuracy in t.  The monotone
-    flag reports whether every (left,right) label transition occurs at most
-    once per row, the structure the threshold metrics (all increasing in t
-    at fixed V) imply.
+    record once, outside :func:`classify`'s row cache; every grid point
+    then costs one link state and a memo lookup, exactly what
+    :func:`classify` returns there.  A row's state changes only at the
+    thresholds t = S / rate, so its boundaries are exactly the thresholds
+    inside the t range where the label changes, each keyed (left, right)
+    by the labels of the intervals on either side.  The monotone flag
+    reports whether every such transition occurs at most once per row, the
+    structure the threshold metrics (all increasing in t at fixed V) imply.
     """
     nt, nv = shape
     t_lo, t_hi = t_range
@@ -357,25 +358,21 @@ def zone_diagram(params: WaveguideParams, t_range, v_range, shape=(60, 60), S: f
     monotone = True
     for V, real in zip(vs, reals):
         rec = _build_row(V, params, real, complexes[V]) if real else None
-        row = [_at(rec, tt, S)[0].primary for tt in ts]
-        labels.append(row)
+        labels.append([_at(rec, tt, S)[0].primary for tt in ts])
+        # the label is constant between consecutive thresholds S / rate, so
+        # each interval is labelled once, at its midpoint
+        taus = sorted({S / r for r in (rec.rates if rec else ()) if r > 0.0 and t_lo < S / r < t_hi})
+        edges = [t_lo, *taus, t_hi]
+        runs = [_at(rec, 0.5 * (lo + hi), S)[0].primary for lo, hi in zip(edges[:-1], edges[1:])]
         seen: set[tuple[str, str]] = set()
-        for j in range(nt - 1):
-            if row[j] == row[j + 1]:
+        for tau, left, right in zip(taus, runs[:-1], runs[1:]):
+            if left == right:
                 continue
-            lo, hi = ts[j], ts[j + 1]
-            left = row[j]
-            while (hi - lo) > 1e-3 * hi:
-                mid = 0.5 * (lo + hi)
-                if _at(rec, mid, S)[0].primary == left:
-                    lo = mid
-                else:
-                    hi = mid
-            key = (row[j], row[j + 1])
+            key = (left, right)
             if key in seen:
                 monotone = False
             seen.add(key)
-            boundaries.setdefault(key, []).append((0.5 * (lo + hi), V))
+            boundaries.setdefault(key, []).append((tau, V))
     for pts in boundaries.values():
         pts.sort(key=lambda p: p[1])
     return ZoneDiagram(t_grid=t_grid, v_grid=v_grid, labels=labels, boundaries=boundaries, monotone=monotone)

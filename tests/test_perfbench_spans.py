@@ -28,6 +28,7 @@ def test_tracer_sees_assembly_layers():
     try:
         wavezones.assemble_field(3.0, 3.0, DEFAULT_PARAMS)     # B: oracle fallback
         wavezones.assemble_field(60.0, 60.0, DEFAULT_PARAMS)   # SP terms
+        wavezones.assemble_field(200.0, 1.44 * 200.0, DEFAULT_PARAMS)  # SP and Ai terms
     finally:
         tracer.uninstall()
 
@@ -37,9 +38,9 @@ def test_tracer_sees_assembly_layers():
     spans = range(len(tracer.start))
     oracle_parents = [name(tracer.parent[i]) for i in spans if name(i) == "oracle" and tracer.parent[i] >= 0]
     assert oracle_parents == ["asymptotics.assemble_field"]
-    assert sum(name(i) == "zones.classify" for i in spans) == 2
+    assert sum(name(i) == "zones.classify" for i in spans) == 3
     assert any(name(i) == "asymptotics.sp_term" for i in spans)
-    assert tracer.summary(2)["asymptotics.oracle_fallbacks"][0] == 1
+    assert tracer.summary(3)["asymptotics.oracle_fallbacks"][0] == 1
 
     def under_assembly(i):
         while (i := tracer.parent[i]) >= 0:
@@ -51,6 +52,7 @@ def test_tracer_sees_assembly_layers():
     # must still go through the names the tracer rebinds
     saddle_spans = {name(i) for i in spans if name(i).startswith("saddle.") and under_assembly(i)}
     assert saddle_spans == {"saddle.real", "saddle.complex"}
+    assert any(name(i) == "asymptotics.airy_term" and under_assembly(i) for i in spans)
 
 
 def test_tracer_sees_zones_layers(tmp_path):

@@ -276,6 +276,19 @@ def _edge_rows(params):
     return rows + [(lo, hi), (0.75 * lo + 0.25 * hi, 0.25 * lo + 0.75 * hi)]
 
 
+def _diagram_rows(params, v_grid):
+    """{V: row record} as zone_diagram builds them, its complex saddles
+    continued along the grid's speeds that have real saddles."""
+    from wavezones import zones
+    from wavezones.saddle import complex_saddles_along, find_real_saddles
+
+    vs = [float(V) for V in v_grid]
+    reals = [find_real_saddles(V, params) for V in vs]
+    solved = [V for V, r in zip(vs, reals) if r]
+    complexes = dict(zip(solved, complex_saddles_along(solved, params)))
+    return {V: zones._build_row(V, params, r, complexes[V]) if r else None for V, r in zip(vs, reals)}
+
+
 @pytest.mark.parametrize("mu", [0.0, 0.05, 0.5])
 @pytest.mark.parametrize("S", [0.5, 3.0, 40.0])
 def test_row_path_matches_per_point_reference(mu, S):
@@ -286,6 +299,7 @@ def test_row_path_matches_per_point_reference(mu, S):
     for v_range in _edge_rows(params):
         dg = zone_diagram(params, (2.0, 600.0), v_range, shape=(48, 2), S=S)
         assert list(dg.v_grid) == list(v_range)
+        rows = _diagram_rows(params, dg.v_grid)
         for V, row in zip(dg.v_grid, dg.labels):
             want = [_reference_classify(float(t), float(V), params, S) for t in dg.t_grid]
             assert row == [w[0] for w in want], (V, S)
@@ -295,18 +309,15 @@ def test_row_path_matches_per_point_reference(mu, S):
                 got = tuple((d.kind, d.saddles, d.note, d.extremum) for d in descs)
                 assert got == terms, (float(t), float(V))
                 unresolved += sum(d.note == "unresolved pair" for d in descs)
-            # boundaries: the same bisection on the reference labels
-            for j in range(len(row) - 1):
-                if row[j] == row[j + 1]:
-                    continue
-                lo, hi = float(dg.t_grid[j]), float(dg.t_grid[j + 1])
-                while (hi - lo) > 1e-3 * hi:
-                    mid = 0.5 * (lo + hi)
-                    if _reference_classify(mid, float(V), params, S)[0] == row[j]:
-                        lo = mid
-                    else:
-                        hi = mid
-                assert (0.5 * (lo + hi), float(V)) in dg.boundaries[(row[j], row[j + 1])]
+            # boundaries: exactly the thresholds S / rate inside the t range
+            # where the reference labels of the intervals on either side differ
+            rec = rows[float(V)]
+            taus = sorted({S / r for r in (rec.rates if rec else ()) if r > 0.0 and 2.0 < S / r < 600.0})
+            edges = [2.0, *taus, 600.0]
+            runs = [_reference_classify(0.5 * (lo + hi), float(V), params, S)[0] for lo, hi in zip(edges[:-1], edges[1:])]
+            want = sorted(((a, b), tau) for tau, a, b in zip(taus, runs[:-1], runs[1:]) if a != b)
+            got = sorted((key, t) for key, pts in dg.boundaries.items() for t, v in pts if v == V)
+            assert got == want, (float(V), S)
     # at V == v_e exactly the merging pair is neither real nor complex, and
     # the pocket test alone places its Airy node
     assert (unresolved > 0) == (mu > 0.0)
@@ -355,7 +366,7 @@ def test_wedge_edge_rays_have_no_crossing_link():
 )
 def test_boundaries_lie_at_rate_thresholds(mu, S, V):
     # every link separation is rate * t on the ray, so each boundary of a row
-    # sits at t = S / rate for one of its rates, and the label is constant
+    # is exactly t = S / rate for one of its rates, and the label is constant
     # between consecutive thresholds
     import dataclasses
 
@@ -363,13 +374,14 @@ def test_boundaries_lie_at_rate_thresholds(mu, S, V):
 
     params = dataclasses.replace(DEFAULT_PARAMS, mu=mu)
     dg = zone_diagram(params, (1.0, 600.0), (V, V + 1e-3), shape=(40, 2), S=S)
+    rows = _diagram_rows(params, dg.v_grid)
     for v in dg.v_grid:
-        row = zones._row(float(v), params)
+        row = rows[float(v)]
         taus = sorted(S / r for r in (row.rates if row else ()) if r > 0.0)
         for key, pts in dg.boundaries.items():
             for t, bv in pts:
                 if bv == v:
-                    assert any(abs(t - tau) <= 1e-3 * t for tau in taus), (key, t, float(v))
+                    assert t in taus, (key, t, float(v))
         edges = [1.0] + [tau for tau in taus if 1.0 < tau < 600.0] + [600.0]
         for lo, hi in zip(edges[:-1], edges[1:]):
             labels = {zones._at(row, lo + f * (hi - lo), S)[0] for f in (0.01, 0.5, 0.99)}

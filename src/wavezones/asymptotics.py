@@ -93,7 +93,8 @@ def _pair_calibrated(p: SaddlePoint, q: SaddlePoint, t, x, params) -> np.ndarray
     """
     if p.is_real:
         if not (p.alpha.real > 0) ^ (q.alpha.real > 0):
-            raise WrongSignCurvature("pair calibration needs opposite-curvature saddles")
+            raise WrongSignCurvature(f"pair calibration needs opposite-curvature saddles, got alpha={p.alpha.real:.6g} "
+                                     f"(family {p.index}) and alpha={q.alpha.real:.6g} (family {q.index})")
         if q.alpha.real > 0:
             p, q = q, p
     phi_p, phi_q = (s.k_star * x - s.omega_star * t for s in (p, q))
@@ -156,7 +157,7 @@ def j_term(t: float, x: float, params: WaveguideParams) -> np.ndarray:
     excitation (1, 0) since the crossing amplitude is (0, -mu).
     """
     if params.mu <= 0.0:
-        raise OutsideWedge("no exchange pulse without interlayer coupling")
+        raise OutsideWedge(f"no exchange pulse without interlayer coupling, got mu={params.mu!r}")
     jp = j_parameters(t, x, params)
     cp = crossing_point(params)
     if not jp.inside:
@@ -182,11 +183,13 @@ def _q_loop(z: float, rel_tol: float) -> complex:
     while n <= (1 << 20):
         theta = _TWO_PI * np.arange(n) / n
         cur = 1j * (_TWO_PI / n) * np.sum(np.exp(1j * np.cos(theta) - z * np.sin(theta)))
-        if prev is not None and abs(cur - prev) <= max(rel_tol * abs(cur), 1e-13):
+        change = math.inf if prev is None else abs(cur - prev)
+        if change <= max(rel_tol * abs(cur), 1e-13):
             return complex(cur)
         prev = cur
         n *= 2
-    raise NoConvergence("loop quadrature for the cut integral did not settle", achieved=abs(cur - prev))
+    raise NoConvergence(f"loop quadrature for the cut integral did not settle at z={z!r}, rel_tol={rel_tol!r} "
+                        f"with {n // 2} nodes", achieved=change)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)

@@ -176,7 +176,8 @@ def cutoff_frequencies(params: WaveguideParams):
     y_lo = 0.5 * (s - disc)
     y_hi = 0.5 * (s + disc)
     if y_lo <= 0.0:
-        raise OverstrongCoupling("lower cutoff not real: mu >= omega1*omega2")
+        raise OverstrongCoupling(f"lower cutoff not real: mu >= omega1*omega2, got mu={params.mu!r}, "
+                                 f"omega1*omega2={params.omega1 * params.omega2!r}")
     return math.sqrt(y_lo), math.sqrt(y_hi)
 
 

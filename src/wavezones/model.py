@@ -102,7 +102,7 @@ def validate(params: WaveguideParams) -> WaveguideParams:
     if params.mu < 0:
         raise NonPositiveParameter(f"mu must be >= 0, got {params.mu!r}")
     if params.c1 == params.c2:
-        raise DegenerateSpeeds("c1 == c2: layer speeds must differ")
+        raise DegenerateSpeeds(f"c1 == c2: layer speeds must differ, got c1={params.c1!r}, c2={params.c2!r}")
     if params.c1 < params.c2:
         raise OrderingViolation(f"need c1 > c2, got c1={params.c1}, c2={params.c2}")
     if params.omega2 < params.omega1:
@@ -257,10 +257,11 @@ def crossing_point(params: WaveguideParams) -> CrossingPoint:
     """
     dc2 = params.c1**2 - params.c2**2
     if dc2 == 0.0:
-        raise DegenerateSpeeds("c1 == c2: uncoupled branches do not cross")
+        raise DegenerateSpeeds(f"c1 == c2: uncoupled branches do not cross, got c1={params.c1!r}, c2={params.c2!r}")
     k2 = (params.omega2**2 - params.omega1**2) / dc2
     if k2 <= 0.0:
-        raise OrderingViolation("no positive-k crossing: need omega2 > omega1 with c1 > c2")
+        raise OrderingViolation(f"no positive-k crossing: need omega2 > omega1 with c1 > c2, got omega1="
+                                f"{params.omega1!r}, omega2={params.omega2!r}, c1={params.c1!r}, c2={params.c2!r}")
     k_c = math.sqrt(k2)
     omega_c = math.sqrt(params.omega1**2 + (params.c1 * k_c) ** 2)
     return CrossingPoint(

@@ -37,8 +37,8 @@ nearby points share a grid.
 Most of a sample's cost depends on omega alone: the two upper roots k and
 the modal weights A / d_k D.  :func:`field_modal_integral` therefore takes
 arrays of (t, x) as well, and groups the points by their quadrature grid
-(contour height eps, cutoff w_max and the two panels' base interval counts,
-all set per point by :func:`_panels`).  Each group walks the nested
+(contour height eps and the two panels, whose last one ends at the cutoff
+w_max, all set per point by :func:`_panels`).  Each group walks the nested
 doublings once, block by block: a block's omega tables are computed once,
 then every point still refining adds only its own e^{i (k x - omega t)}
 sums.  Each point keeps its own tail correction, Richardson test and
@@ -113,12 +113,13 @@ def _sqrt_upper(r):
 
 
 def _panels(t: float, x: float, params: WaveguideParams):
-    """Quadrature grid of the point (t, x): (eps, w_max, ppu, panels).
+    """Quadrature grid of the point (t, x): (eps, ppu, panels).
 
     ppu is the base sample density on the outer panel; the cutoff panel
     [0, w_split] is always sampled 4x denser.  panels holds each panel's
-    (lo, hi, base interval count).  Points with equal eps and panels sample
-    the same frequencies at every level.
+    (lo, hi, base interval count), and the outer one ends at the
+    truncation w_max.  Points with equal eps and panels sample the same
+    frequencies at every level.
 
     The base grid is deliberately coarse and the Richardson test decides how
     far to refine.  An interior point starts at 1.5 samples per unit of its
@@ -141,7 +142,7 @@ def _panels(t: float, x: float, params: WaveguideParams):
         (0.0, w_split, max(64, int(4.0 * ppu * w_split))),
         (w_split, w_max, max(64, int(ppu * (w_max - w_split)))),
     )
-    return eps, w_max, ppu, panels
+    return eps, ppu, panels
 
 
 def _tables(omega, params: WaveguideParams):
@@ -205,14 +206,14 @@ def _sample_sums(points, lo, h, first, stride, count, eps, params):
     return total
 
 
-def _integrate_group(points, eps, w_max, panels, params):
+def _integrate_group(points, eps, panels, params):
     """Nested trapezoid refinement of every point of one quadrature grid.
 
-    Each point keeps its own tail, Richardson test and stopping level; only
-    the frequency tables are shared.  Returns per point (u, doublings,
-    Richardson estimate), with u None when tolerance is never met.
+    Each point keeps its own tail from the cutoff, Richardson test and
+    stopping level; only the frequency tables are shared.  Returns per point
+    (u, doublings, Richardson estimate), with u None when tolerance is never met.
     """
-    tails = np.array([_tail_correction(w_max + 1j * eps, t, x, params) for t, x in points])
+    tails = np.array([_tail_correction(panels[-1][1] + 1j * eps, t, x, params) for t, x in points])
     out = [(None, 0, math.inf)] * len(points)
 
     def value(sums, rows, level):
@@ -278,15 +279,15 @@ def field_modal_integral(t, x, params: WaveguideParams, return_info: bool = Fals
 
     grids = [_panels(ti, xi, params) for ti, xi in zip(ts, xs)]
     groups: dict = {}
-    for i, (eps, w_max, _, panels) in enumerate(grids):
-        groups.setdefault((eps, w_max, panels), []).append(i)
+    for i, (eps, _, panels) in enumerate(grids):
+        groups.setdefault((eps, panels), []).append(i)
 
     u = np.full((len(ts), 2), np.nan)
     infos = [None] * len(ts)
-    for (eps, w_max, panels), members in groups.items():
+    for (eps, panels), members in groups.items():
         points = [(ts[i], xs[i]) for i in members]
-        for i, (ui, level, est) in zip(members, _integrate_group(points, eps, w_max, panels, params)):
-            ppu = grids[i][2]
+        for i, (ui, level, est) in zip(members, _integrate_group(points, eps, panels, params)):
+            ppu = grids[i][1]
             error = None
             if ui is None:
                 error = NoConvergence(
@@ -298,7 +299,7 @@ def field_modal_integral(t, x, params: WaveguideParams, return_info: bool = Fals
                 u[i] = ui
             infos[i] = {
                 "epsilon": eps,
-                "omega_max": w_max,
+                "omega_max": panels[-1][1],
                 "points_per_unit": ppu * 2**level,
                 "richardson": est,
                 "samples": sum((n << level) + 1 for _, _, n in panels),
@@ -334,7 +335,7 @@ def scalar_kg_far(t: float, x: float, c: float, Omega: float, S: float = 3.0) ->
     Valid in the far zone z > S; raises :class:`OutsideFarZone` elsewhere.
     """
     if t <= 0.0 or abs(x) >= c * t:
-        raise OutsideFarZone("outside the propagation cone")
+        raise OutsideFarZone(f"outside the propagation cone, got t={t!r}, x={x!r}, c={c!r}")
     z = Omega * math.sqrt(t * t - (x / c) ** 2)
     if z <= S:
         raise OutsideFarZone(f"phase argument z={z:.3g} not beyond S={S:.3g}")

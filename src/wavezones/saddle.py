@@ -13,7 +13,8 @@ family scheme used throughout the zone logic:
                        member (Im g > 0) is kept.
 
 :func:`merge_families` and :func:`pair_is_real` state this merge scheme for
-the zone logic and the Airy terms.
+the zone logic and the Airy terms; the sign of (1/V - 1/v_e) / c3 alone
+says on which side of a merge the speed V lies.
 
 Real saddles come from a table, built once per parameter set, of the pieces
 of each branch on which v_g is monotone (split at the group-velocity
@@ -92,10 +93,16 @@ def merge_families(ext: dispersion.GroupVelocityExtremum) -> tuple[tuple[int, in
     return ((3, 4), 6) if ext.kind == "min" else ((2, 3), 5)
 
 
+def _merge_side(ext: dispersion.GroupVelocityExtremum, V: float) -> float:
+    """(1/V - 1/v_e) / c3: negative where the extremum's merging pair is real
+    (above v_e at a minimum, below it at a maximum), positive where it has
+    left the real axis, and 0 where 1/V rounds to 1/v_e."""
+    return (1.0 / V - 1.0 / ext.v_e) / ext.cubic_coeff
+
+
 def pair_is_real(ext: dispersion.GroupVelocityExtremum, V: float) -> bool:
-    """Whether the extremum's merging pair is real at speed V: above v_e at a
-    minimum, below it at a maximum (neither at V = v_e exactly)."""
-    return V > ext.v_e if ext.kind == "min" else V < ext.v_e
+    """Whether the extremum's merging pair is real at speed V."""
+    return _merge_side(ext, V) < 0.0
 
 
 @functools.lru_cache(maxsize=128)
@@ -203,7 +210,7 @@ def complex_saddles_along(vs, params: WaveguideParams) -> list[tuple[SaddlePoint
     vs = [float(V) for V in vs]
     found: list[list[SaddlePoint]] = [[] for _ in vs]
     for e in dispersion.velocity_extrema(params):
-        side = [i for i, V in enumerate(vs) if 0.0 < V < params.c1 and _is_complex_side(e, V)]
+        side = [i for i, V in enumerate(vs) if 0.0 < V < params.c1 and _merge_side(e, V) > 0.0]
         side.sort(key=lambda i: abs(1.0 / vs[i] - 1.0 / e.v_e))
         point = None
         for i in side:
@@ -212,11 +219,6 @@ def complex_saddles_along(vs, params: WaveguideParams) -> list[tuple[SaddlePoint
             point = _decaying_member(e, V, seeded, params) or _homotopy_root(e, V, params)
             found[i].append(point)
     return [tuple(f) for f in found]
-
-
-def _is_complex_side(e, V: float) -> bool:
-    """Whether the extremum's pair has left the real axis at speed V."""
-    return (1.0 / e.v_e - 1.0 / V) / e.cubic_coeff < 0.0
 
 
 def _decaying_member(e, V: float, root, params: WaveguideParams) -> SaddlePoint | None:

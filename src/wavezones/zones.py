@@ -15,18 +15,17 @@ read as a letter:
     SP  / SPe: an isolated real / complex stationary point.
 
 Links use the phase difference for adjacent real families, the pulse
-argument b for the crossing pair, the Airy pocket for an unresolved merging
-pair, and the decay exponent for complex saddles; all compared against the
-same dimensionless threshold S.
+argument b for the crossing pair, and the decay exponent for complex
+saddles; all compared against the same dimensionless threshold S.  A
+merging pair left unresolved (V = v_e to rounding) is an Ai node at every t.
 
 On a ray x = V t each of these separations is its value at t = 1 (the rate)
-times t, so a link is active while rate * t < S and each boundary of a V row
-lies at some t = S / rate.  Classification is therefore split in three:
-:func:`_row` gathers, once per V, the saddles, the extrema, and each link
-with its rate; :func:`_state` compares every rate * t with S; :func:`_label`
-runs the cluster and letter logic once per distinct state and memoizes the
-result in the row.  The crossing link exists only on rays strictly inside
-the exchange wedge, v_slow < V < v_fast.
+times t, so a link is active while rate < S / t: a V row is a step function
+of S / t, and each of its boundaries lies at some t = S / rate.  :func:`_row`
+gathers, once per V, the saddles, the extrema, the fixed nodes and each link
+with its rate; :func:`_label` runs the cluster and letter logic once per rank
+of S / t among the rates, and the row memoizes the result.  The crossing
+link exists only on rays strictly inside the exchange wedge, v_slow < V < v_fast.
 
 :func:`classify` caches its rows per V.  :func:`zone_diagram` builds its
 rows with :func:`_build_row` outside that cache, from complex saddles that
@@ -35,6 +34,7 @@ rows with :func:`_build_row` outside that cache, from complex saddles that
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
 import math
@@ -97,7 +97,7 @@ class TermDescriptor:
     kind is one of SP, SPe, Ai, J, Q, B; saddles lists the family indices
     involved; extremum is the GroupVelocityExtremum of an Ai term; note
     records what triggered the descriptor.  classify returns descriptors
-    without a value, shared by every point with the same link state;
+    without a value, shared by every point of the same row and rank of S / t;
     asymptotics.assemble_field returns new ones carrying the value (a
     complex pair).
     """
@@ -130,14 +130,15 @@ class _Row:
     """What the classification of one V row depends on apart from t and S.
 
     real_ids and complex_ids are the saddle families present, in order.
-    links names what each link joins, in the order crossing, phase, pocket,
-    shadow: ("crossing", 1, 3) when the crossing link can fire, ("phase",
-    a, b) for each omega-adjacent real pair other than {1, 3}, ("pocket",
-    extremum) for each extremum whose Airy node stands in for an unresolved
-    pair, and ("shadow", index, extremum or None) for each complex saddle.
-    rates holds each link's separation at t = 1 on the ray (x = V): every
-    separation grows linearly in t, so a link is active while rate * t < S.
-    memo maps a link state to its (ZoneLabel, descriptors).
+    links names what each link joins, in the order crossing, phase, shadow:
+    ("crossing", 1, 3) when the crossing link can fire, ("phase", a, b) for
+    each omega-adjacent real pair other than {1, 3}, and ("shadow", index,
+    extremum) for each complex saddle.  rates holds each link's separation
+    at t = 1 on the ray (x = V): every separation grows linearly in t, so a
+    link is active while rate < S / t, and steps holds the rates sorted.
+    fixed holds the Ai node of each extremum whose merging pair is
+    unresolved, present at every t.  memo maps the rank of S / t among the
+    steps to its (ZoneLabel, descriptors).
     """
 
     V: float
@@ -146,6 +147,8 @@ class _Row:
     ext_by_pair: dict
     links: tuple
     rates: tuple
+    steps: list
+    fixed: tuple
     memo: dict
 
 
@@ -154,13 +157,11 @@ _ZERO = ZoneLabel("zero", (), 0, None)
 
 @functools.lru_cache(maxsize=64)
 def _row(V: float, params: WaveguideParams):
-    """The row record at speed V; None when every t > 0 is zero.
+    """The row record at speed V < c1; None when every t > 0 is zero.
 
     Cached for the 64 most recent speeds: a ray reuses one record, and a
     sweep over V keeps only a few rows alive.
     """
-    if V >= params.c1:
-        return None
     reals = find_real_saddles(V, params)
     return _build_row(V, params, reals, find_complex_saddles(V, params)) if reals else None
 
@@ -186,27 +187,20 @@ def _build_row(V: float, params: WaveguideParams, reals, complexes) -> _Row:
             links.append(("phase", a.index, b.index))
             rates.append(phase_difference(a, b, 1.0, V))
 
-    ext_by_pair, ext_by_partner = {}, {}
+    # a merging pair that is neither real nor complex (V = v_e to rounding,
+    # where the double root defeats both finders) is one Airy node at every
+    # t; on the real side a missing member is another transition's doing
+    ext_by_pair, ext_by_partner, fixed = {}, {}, []
     for e in velocity_extrema(params):
         pair, partner = merge_families(e)
         ext_by_pair[pair] = e
         ext_by_partner[partner] = e
-        # pocket-active extrema whose pair is unresolved (V = v_e exactly: the
-        # pair is neither real nor complex) get their Airy node directly, but
-        # only on the side of v_e where the pair leaves the real axis;
-        # elsewhere a missing member is another transition's doing.  A real
-        # member or a found partner is handled by the clusters / complex branch.
-        # The pocket is the merge phase (4/3)|s|^{3/2} of the local cubic
-        # model, s the scaled Airy argument; it needs no saddles, so it still
-        # fires at V = v_e exactly, where the double root defeats the finder
         if not pair_is_real(e, V) and partner not in complexes and not any(i in reals for i in pair):
-            s_abs = (V * V / abs(e.cubic_coeff)) ** (1.0 / 3.0) * abs(1.0 / V - 1.0 / e.v_e)
-            links.append(("pocket", e))
-            rates.append((4.0 / 3.0) * s_abs**1.5)
+            fixed.append(TermDescriptor("Ai", extremum=e, note="unresolved pair"))
 
-    # complex saddles decay as 2 x Im g
+    # complex saddles decay as 2 x Im g; each is born at its extremum
     for i, sc in sorted(complexes.items()):
-        links.append(("shadow", i, ext_by_partner.get(i)))
+        links.append(("shadow", i, ext_by_partner[i]))
         rates.append(2.0 * V * sc.g.imag)
 
     return _Row(
@@ -216,33 +210,25 @@ def _build_row(V: float, params: WaveguideParams, reals, complexes) -> _Row:
         ext_by_pair=ext_by_pair,
         links=tuple(links),
         rates=tuple(rates),
+        steps=sorted(rates),
+        fixed=tuple(fixed),
         memo={},
     )
 
 
-def _state(row: _Row, t: float, S: float):
-    """Which links are active at (t, x = V t): one comparison per rate."""
-    return tuple([r * t < S for r in row.rates])
-
-
-def _label(row: _Row, state) -> tuple[ZoneLabel, tuple[TermDescriptor, ...]]:
-    """Cluster the linked families of one state and read them as letters."""
+def _label(row: _Row, level: float) -> tuple[ZoneLabel, tuple[TermDescriptor, ...]]:
+    """Cluster the families linked at S / t = level and read them as letters."""
     cluster = {i: frozenset((i,)) for i in row.real_ids}
     crossing_linked = False
-    tail: list[TermDescriptor] = []
-    for link, active in zip(row.links, state):
-        kind = link[0]
-        if kind == "pocket":
-            if active:
-                tail.append(TermDescriptor("Ai", saddles=(), extremum=link[1], note="unresolved pair"))
-        elif kind == "shadow":
+    tail = list(row.fixed)
+    for link, rate in zip(row.links, row.rates):
+        kind, active = link[0], rate < level
+        if kind == "shadow":
             # near their extremum complex saddles belong to the Airy
             # neighborhood, far from it they are exponentially small SPe terms
             _, i, e = link
-            if e is not None and active:
-                tail.append(TermDescriptor("Ai", saddles=(i,), extremum=e, note="shadow side"))
-            else:
-                tail.append(TermDescriptor("SPe", saddles=(i,)))
+            tail.append(TermDescriptor("Ai", saddles=(i,), extremum=e, note="shadow side") if active
+                        else TermDescriptor("SPe", saddles=(i,)))
         elif active:
             crossing_linked |= kind == "crossing"
             _, a, b = link
@@ -283,13 +269,14 @@ def _label(row: _Row, state) -> tuple[ZoneLabel, tuple[TermDescriptor, ...]]:
 
 
 def _at(row: _Row | None, t: float, S: float):
-    """(ZoneLabel, descriptors) at t > 0 on a row, memoized per state."""
+    """(ZoneLabel, descriptors) at t > 0 on a row, memoized per rank of S / t."""
     if row is None:
         return _ZERO, ()
-    state = _state(row, t, S)
-    hit = row.memo.get(state)
+    level = S / t
+    rank = bisect.bisect_left(row.steps, level)
+    hit = row.memo.get(rank)
     if hit is None:
-        hit = row.memo[state] = _label(row, state)
+        hit = row.memo[rank] = _label(row, level)
     return hit
 
 
@@ -297,9 +284,10 @@ def classify(t: float, V: float, params: WaveguideParams, S: float = 3.0):
     """Classify the point (t, x = V t); returns (ZoneLabel, term descriptors).
 
     The V row record (saddles, extrema, pairs, rates) is built once per V
-    and cached; the link state at t selects a label memoized in the row.
-    The descriptors carry structure only (kind, saddle families, extremum
-    record); they are frozen and shared with every point of the same state.
+    and cached; the rank of S / t among its rates selects a label memoized
+    in the row.  The descriptors carry structure only (kind, saddle
+    families, extremum record); they are frozen and shared with every point
+    of the same rank.
     """
     if S <= 0.0:
         raise InvalidArgument(f"threshold S must be positive, got S={S!r}")
@@ -330,9 +318,9 @@ def zone_diagram(params: WaveguideParams, t_range, v_range, shape=(60, 60), S: f
     The complex saddles of every row come from one continuation along V
     (:func:`saddle.complex_saddles_along`).  Each V row builds its row
     record once, outside :func:`classify`'s row cache; every grid point
-    then costs one link state and a memo lookup, exactly what
-    :func:`classify` returns there.  A row's state changes only at the
-    thresholds t = S / rate, so its boundaries are exactly the thresholds
+    then costs one bisection and a memo lookup, exactly what
+    :func:`classify` returns there.  A row's rank of S / t changes only at
+    the thresholds t = S / rate, so its boundaries are exactly the thresholds
     inside the t range where the label changes, each keyed (left, right)
     by the labels of the intervals on either side.  The monotone flag
     reports whether every such transition occurs at most once per row, the

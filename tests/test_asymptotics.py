@@ -19,6 +19,7 @@ from wavezones.asymptotics import (
     sp_term,
 )
 from wavezones.dispersion import group_velocity_extrema
+from wavezones.errors import NoConvergence
 from wavezones.model import DEFAULT_PARAMS, j_parameters
 from wavezones.oracle import field_modal_integral, j_int_quadrature
 from wavezones.saddle import find_real_saddles
@@ -176,6 +177,38 @@ def test_airy_form_on_both_sides_of_each_extremum(kind):
     assert len(sides) == 2
     for lo, hi in ((fvs[0], fvs[1]), (fvs[2], fvs[3])):
         assert np.max(np.abs(lo.u - hi.u)) < 4e-3 * np.max(sum(np.abs(2.0 * d.value) for d in lo.terms))
+
+
+def _rounding_band(raises):
+    reason = "known defect: within about 1e-12 relative of v_e rounding destroys the two-saddle form"
+    return pytest.mark.xfail(strict=True, raises=raises, reason=reason)
+
+
+@pytest.mark.parametrize(
+    "mu, kind, rel",
+    [
+        # z4 = 0: u is inf, with a divide-by-zero RuntimeWarning
+        pytest.param(0.5, "max", -1e-15, marks=_rounding_band((RuntimeWarning, AssertionError))),
+        # finite, but off by 0.98 of the envelope
+        pytest.param(0.5, "max", -1e-13, marks=_rounding_band(AssertionError)),
+        pytest.param(0.5, "min", -1e-13, marks=_rounding_band(AssertionError)),
+        # x = v_max t, so x / t is v_max + 1 ulp and 1/V rounds to 1/v_max:
+        # both homotopy roots have Im g == 0, and the classifier raises
+        pytest.param(0.3, "max", 0.0, marks=_rounding_band(NoConvergence)),
+    ],
+)
+def test_airy_form_within_rounding_of_v_e(mu, kind, rel):
+    # the both-sides bound above, 0.02 of the envelope against the oracle,
+    # on rays a few ulps to 1e-13 relative from v_e; the fix is the xi -> 0
+    # limit of the two-saddle form, its amplitudes at the double root
+    import dataclasses
+
+    p = dataclasses.replace(DEFAULT_PARAMS, mu=mu)
+    ext = next(e for e in group_velocity_extrema(p) if e.kind == kind)
+    t, x = 200.0, ext.v_e * (1.0 + rel) * 200.0
+    fv = assemble_field(t, x, p)
+    assert np.all(np.isfinite(fv.u))
+    assert _envelope_error(fv, field_modal_integral(t, x, p)) < 0.02
 
 
 @pytest.mark.parametrize("kind, dv", [("min", -0.02), ("min", -0.1), ("max", 0.02), ("max", 0.1)])

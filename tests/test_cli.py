@@ -13,6 +13,7 @@ import pytest
 
 from wavezones import acceptance, cli, oracle
 from wavezones.cli import main
+from wavezones.errors import NoConvergence
 
 KNOWN_LABELS = {"zero", "B", "Q", "J", "Ai", "SP", "SPe"}
 
@@ -140,6 +141,28 @@ def test_field_reports_unconverged_points(tmp_path, monkeypatch):
     assert rows[0][-1] == "converged" and len(rows) == 3
     for r in rows[1:]:
         assert r[2] == "?" and r[3] == "nan" and r[-1] == "0"
+
+
+def test_field_reports_a_failed_assembly(tmp_path, monkeypatch):
+    # assemble_field raising NoConvergence at one point marks that row ? and
+    # converged=0 and the exit code 1, and leaves the other rows as they are
+    argv = ["field", "--t-min", "30", "--t-max", "30", "--v-min", "1.0", "--v-max", "2.2", "--grid", "1x3"]
+    assert main(argv + ["--out", str(tmp_path / "ok.csv")]) == 0
+    assemble = cli.assemble_field
+
+    def failing(t, x, params, S):
+        if abs(x / t - 1.6) < 1e-9:
+            raise NoConvergence(f"forced failure at t={t!r}, x={x!r}")
+        return assemble(t, x, params, S)
+
+    monkeypatch.setattr(cli, "assemble_field", failing)
+    assert main(argv + ["--out", str(tmp_path / "f.csv")]) == 1
+    ok, failed = ([l.split(",") for l in _read(tmp_path / name).splitlines() if not l.startswith("#")]
+                  for name in ("ok.csv", "f.csv"))
+    assert len(failed) == 4 and float(failed[2][1]) == 1.6
+    assert failed[2][2:] == ["?", "nan", "nan", "nan", "nan", "-", "0"]
+    assert ok[2][2] != "?" and ok[2][-1] == "1"
+    assert [failed[i] for i in (0, 1, 3)] == [ok[i] for i in (0, 1, 3)]
 
 
 def test_scalar_csv(tmp_path):

@@ -1,6 +1,7 @@
 """Parameter validation, dispersion function, amplitude, crossing point."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -44,9 +45,11 @@ def test_default_preset_is_valid():
     ],
 )
 def test_validation_rejections(kwargs, exc):
+    # the message names the offending parameter and then the value it saw
     base = dict(c1=2.0, c2=1.8, omega1=3.0, omega2=3.5, mu=0.5)
     base.update(kwargs)
-    with pytest.raises(exc):
+    ((name, value),) = kwargs.items()
+    with pytest.raises(exc, match=rf"\b{name}\b.*{re.escape(repr(value))}"):
         validate(WaveguideParams(**base))
 
 

@@ -34,7 +34,7 @@ def test_return_info_reports_convergence():
 
 def _base_intervals(t, x, p):
     """The oracle's (lo, hi, intervals) of both panels before any doubling."""
-    return oracle._panels(t, x, p)[3]
+    return oracle._panels(t, x, p)[2]
 
 
 def _count_samples(monkeypatch):
@@ -66,8 +66,8 @@ def _integrand(omega, t, x, p):
 def _one_shot(t, x, p, doublings):
     """Plain trapezoid of the modal integrand on the point's grid after the
     given number of doublings, with the oracle's eps, w_max and tail."""
-    eps, w_max, _, panels = oracle._panels(t, x, p)
-    raw = oracle._tail_correction(w_max + 1j * eps, t, x, p)
+    eps, _, panels = oracle._panels(t, x, p)
+    raw = oracle._tail_correction(panels[-1][1] + 1j * eps, t, x, p)
     for lo, hi, n in panels:
         n <<= doublings
         h = (hi - lo) / n
@@ -117,10 +117,10 @@ def test_value_within_tolerance_of_a_four_times_denser_trapezoid(p, t, x):
 
 def test_interior_points_refine_to_4800_per_unit_at_least():
     # the coarser start keeps the finest reachable interior density
-    ppu = oracle._panels(20.0, 24.0, DEFAULT_PARAMS)[2]
+    ppu = oracle._panels(20.0, 24.0, DEFAULT_PARAMS)[1]
     assert ppu * 2**oracle._MAX_REFINEMENT == 4800.0
     for t, x in [(150.0, 100.0), (220.0, 300.0), (40.0, 78.0)]:
-        ppu = oracle._panels(t, x, DEFAULT_PARAMS)[2]
+        ppu = oracle._panels(t, x, DEFAULT_PARAMS)[1]
         assert ppu * 2**oracle._MAX_REFINEMENT >= 24.0 * (x / DEFAULT_PARAMS.c2 + t)
 
 
@@ -129,8 +129,8 @@ def test_field_grid_falls_on_few_quadrature_grids():
     grids = set()
     for t in np.linspace(30.0, 220.0, 6):
         for V in np.linspace(0.65, 2.2, 5):
-            eps, w_max, _, panels = oracle._panels(t, V * t, DEFAULT_PARAMS)
-            grids.add((eps, w_max, panels))
+            eps, _, panels = oracle._panels(t, V * t, DEFAULT_PARAMS)
+            grids.add((eps, panels))
     assert len(grids) <= 10
 
 
@@ -167,7 +167,7 @@ def test_array_call_matches_scalar_calls(monkeypatch):
     assert [i["batch"] for i in info] == [3, 3, 3, 1, 1, 2, 1, 1, 2]
     grids = {}
     for (t, x), row in zip(MIXED, info):
-        eps, _, _, panels = oracle._panels(t, x, DEFAULT_PARAMS)
+        eps, _, panels = oracle._panels(t, x, DEFAULT_PARAMS)
         grids[eps, panels] = max(grids.get((eps, panels), 0), row["samples"])
     assert sum(tables) == sum(grids.values())
     assert sum(kernel) == sum(i["samples"] for i in info)

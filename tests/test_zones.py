@@ -318,8 +318,8 @@ def test_row_path_matches_per_point_reference(mu, S):
             want = sorted(((a, b), tau) for tau, a, b in zip(taus, runs[:-1], runs[1:]) if a != b)
             got = sorted((key, t) for key, pts in dg.boundaries.items() for t, v in pts if v == V)
             assert got == want, (float(V), S)
-    # at V == v_e exactly the merging pair is neither real nor complex, and
-    # the pocket test alone places its Airy node
+    # at V == v_e exactly the merging pair is neither real nor complex: the
+    # reference's pocket test and the row's fixed node place its Airy node
     assert (unresolved > 0) == (mu > 0.0)
 
 
@@ -413,6 +413,22 @@ def test_zone_labels_match_pinned_grid(mu):
             assert len(row) == len(want)
             for t, got, w in zip(dg.t_grid, row, want):
                 assert got == w, f"{name}: first difference at (t, V) = ({t!r}, {V!r}): {got} != {w}"
+
+
+@pytest.mark.parametrize("mu", ["0.0", "0.05", "0.5", "1.0"])
+def test_zone_boundaries_match_pinned_grid(mu):
+    # "left right t V" of every boundary of `wavezones zones --grid 40x60`,
+    # sorted by label pair and V, pinned while a row's label was still read
+    # from a tuple of rate * t < S; t and V are compared as their repr
+    import dataclasses
+    from pathlib import Path
+
+    params = dataclasses.replace(DEFAULT_PARAMS, mu=float(mu))
+    t_range, v_range, shape = _PINNED_GRIDS["40x60"]
+    dg = zone_diagram(params, t_range, v_range, shape=shape, S=3.0)
+    got = [f"{left} {right} {t!r} {V!r}" for (left, right), pts in sorted(dg.boundaries.items()) for t, V in pts]
+    pinned = (Path(__file__).parent / "data" / f"zone_boundaries_40x60_mu{mu}.txt").read_text().splitlines()
+    assert got == pinned
 
 
 @pytest.mark.parametrize("mu", [0.05, 0.5, 1.0])

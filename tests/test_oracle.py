@@ -18,10 +18,12 @@ from wavezones.oracle import (
 
 
 def test_frozen_reference_point():
+    # u[0] is 5.3e-10 off an independent reference, 0.0287356469549: the
+    # integrand without the subtraction, cut at 8 w_max, two more doublings
     u = field_modal_integral(20.0, 24.0, DEFAULT_PARAMS)
     assert u.shape == (2,)
     assert u.dtype.kind == "f"
-    assert u[0] == pytest.approx(0.02873566377564936, abs=1e-8)
+    assert u[0] == pytest.approx(0.02873564642655081, abs=1e-8)
     assert u[1] == pytest.approx(0.00470814208695972, abs=1e-8)
 
 
@@ -33,8 +35,10 @@ def test_return_info_reports_convergence():
 
 
 def _base_intervals(t, x, p):
-    """The oracle's (lo, hi, intervals) of both panels before any doubling."""
-    return oracle._panels(t, x, p)[2]
+    """The oracle's (lo, hi, intervals) of both panels of the point before any
+    doubling, the outer one ending at the point's cutoff."""
+    eps, _, panels = oracle._panels(t, x, p)
+    return panels[0], oracle._truncated(panels[-1], oracle._cutoff(t, x, eps, panels, p))
 
 
 def _count_samples(monkeypatch):
@@ -59,14 +63,18 @@ def test_return_info_counts_samples(monkeypatch):
 
 
 def _integrand(omega, t, x, p):
-    """Modal integrand at the frequencies omega, shape (2, n), from the oracle's tables."""
+    """Coupled minus uncoupled modal integrand at the frequencies omega,
+    shape (2, n), from the oracle's tables."""
     return sum(h * np.exp(ik * x - 1j * omega * t) for ik, h in oracle._tables(omega, p))
 
 
-def _one_shot(t, x, p, doublings):
-    """Plain trapezoid of the modal integrand on the point's grid after the
-    given number of doublings, with the oracle's eps, w_max and tail."""
+def _one_shot(t, x, p, doublings, full=False):
+    """Plain trapezoid of the difference integrand on the point's grid up to
+    its cutoff (with full, up to w_max) after the given number of doublings,
+    with the oracle's eps and tail, plus the mu = 0 closed form."""
     eps, _, panels = oracle._panels(t, x, p)
+    if not full:
+        panels = _base_intervals(t, x, p)
     raw = oracle._tail_correction(panels[-1][1] + 1j * eps, t, x, p)
     for lo, hi, n in panels:
         n <<= doublings
@@ -75,7 +83,7 @@ def _one_shot(t, x, p, doublings):
             j = np.arange(j0, min(j0 + (1 << 16), n + 1))
             wgt = np.where((j == 0) | (j == n), 0.5, 1.0)
             raw = raw + h * (_integrand(lo + h * j + 1j * eps, t, x, p) @ wgt)
-    return 2.0 * np.real(raw * (1j / (2.0 * math.pi)))
+    return oracle._closed_form(t, x, p) + 2.0 * np.real(raw * (1j / (2.0 * math.pi)))
 
 
 @pytest.mark.parametrize("t, x", [(20.0, 24.0), (30.0, 66.0)])
@@ -96,7 +104,8 @@ def _mu(mu):
 
 #: (params, t, x): interior points at the floor density and above it, near
 #: the front (V = 1.81, 1.95), silent before the impulse and beyond c1
-#: (V = 2.001 is loud: eps = 10 barely damps it), and weak and strong coupling
+#: (V = 2.001 is barely beyond: eps = 10 damps it by e^{-0.25} only, and its
+#: cutoff sits at w_max), and weak and strong coupling
 ACCURACY = [
     (DEFAULT_PARAMS, 20.0, 24.0), (DEFAULT_PARAMS, 60.0, 60.0),
     (DEFAULT_PARAMS, 150.0, 100.0), (DEFAULT_PARAMS, 220.0, 300.0),
@@ -113,6 +122,30 @@ def test_value_within_tolerance_of_a_four_times_denser_trapezoid(p, t, x):
     u, info = field_modal_integral(t, x, p, return_info=True)
     ref = _one_shot(t, x, p, info["doublings"] + 2)
     assert np.max(np.abs(u - ref)) <= max(oracle._TOL * np.max(np.abs(u)), oracle._ABS_FLOOR)
+
+
+def test_cutoff_grows_towards_a_front_and_stops_at_w_max():
+    # deep inside the cone the lowest rung (w_max 2^-3.5 = 22.6) suffices;
+    # on the ray V = 1.8125, just beyond the c2 front, the slow root's phase
+    # rate x/c2 - t shrinks with t and the cutoff climbs to w_max at t = 30;
+    # just beyond the c1 front no rung qualifies
+    w_max = oracle._panels(60.0, 60.0, DEFAULT_PARAMS)[2][-1][1]
+    cutoff = lambda t, x: _base_intervals(t, x, DEFAULT_PARAMS)[-1][1]
+    assert cutoff(60.0, 60.0) < w_max / 8
+    # (the rungs are rounded up to nodes of each point's grid: to 1/ppu)
+    front = [round(cutoff(t, 1.8125 * t), 2) for t in (220.0, 144.0, 106.0, 68.0, 30.0)]
+    assert front == sorted(front) and front[0] < front[-1] == round(w_max, 2)
+    assert cutoff(50.0, 100.05) == w_max
+
+
+@pytest.mark.parametrize("t, x", [(20.0, 24.0), (60.0, 60.0), (60.0, 108.6), (40.0, 78.0)])
+def test_truncation_at_the_cutoff_within_the_tail_bound(t, x):
+    # the cutoff's promise: the same trapezoid run on to w_max moves the value
+    # by less than the bound on the tail estimate (5.4e-9, 6.6e-9, 3.3e-9 and
+    # 4.3e-10 measured at cutoffs 45, 23, 181 and 128)
+    d = field_modal_integral(t, x, DEFAULT_PARAMS, return_info=True)[1]["doublings"]
+    short, full = _one_shot(t, x, DEFAULT_PARAMS, d), _one_shot(t, x, DEFAULT_PARAMS, d, full=True)
+    assert np.max(np.abs(short - full)) <= oracle._TAIL_BOUND
 
 
 def test_interior_points_refine_to_4800_per_unit_at_least():
@@ -132,6 +165,16 @@ def test_field_grid_falls_on_few_quadrature_grids():
             eps, _, panels = oracle._panels(t, V * t, DEFAULT_PARAMS)
             grids.add((eps, panels))
     assert len(grids) <= 10
+
+
+def test_field_grid_window_takes_under_two_million_samples():
+    # the 6x5 window of `wavezones field`: run to w_max, its points would take
+    # 6,034,014 integrand samples; the subtraction lets most stop near 23
+    t = np.repeat(np.linspace(30.0, 220.0, 6), 5)
+    V = np.tile(np.linspace(0.65, 2.2, 5), 6)
+    _, info = field_modal_integral(t, V * t, DEFAULT_PARAMS, return_info=True)
+    assert all(row["error"] is None for row in info)
+    assert sum(row["samples"] for row in info) <= 2_000_000
 
 
 def test_unmet_tolerance_raises_after_every_doubling(monkeypatch):
@@ -181,15 +224,17 @@ def test_array_call_matches_scalar_calls(monkeypatch):
 
 def test_points_of_one_grid_stop_at_their_own_level(monkeypatch):
     # with the absolute floor alone, these floor-density points first meet it
-    # after 2, 3 and 4 doublings (Richardson estimates of 7.7e-8, 5.5e-8 and
-    # 1.4e-7 at the first doubling, then falling 4x per doubling from 1.4e-9,
-    # 8.0e-9 and 1.6e-8): each keeps its own stopping level
+    # after 2, 3 and 4 doublings (Richardson estimates of 1.4e-8, 1.2e-7 and
+    # 1.6e-7 at the first doubling, then 2.8e-11, 1.8e-10 and 9.7e-10 at the
+    # second, falling about 4x per doubling after it): each keeps its own stopping
+    # level, and its own cutoff (16760, 11149 and 4375 base intervals)
     monkeypatch.setattr(oracle, "_TOL", 0.0)
-    monkeypatch.setattr(oracle, "_ABS_FLOOR", 2.5e-9)
-    points = [(20.0, 24.0), (20.0, 10.0), (60.0, 60.0)]
+    monkeypatch.setattr(oracle, "_ABS_FLOOR", 1e-10)
+    points = [(15.0, 20.0), (20.0, 24.0), (60.0, 60.0)]
     u, info = field_modal_integral(*_columns(points), DEFAULT_PARAMS, return_info=True)
     assert [i["doublings"] for i in info] == [2, 3, 4]
     assert [i["batch"] for i in info] == [3, 3, 3]
+    assert len({i["omega_max"] for i in info}) == 3
     for row, (t, x) in zip(u, points):
         assert np.array_equal(row, field_modal_integral(t, x, DEFAULT_PARAMS))
 
@@ -219,6 +264,24 @@ def test_silent_before_switch_on():
         assert np.max(np.abs(u)) < 1e-10
 
 
+def test_silent_just_beyond_the_front():
+    # V = 2.001: by causality u = 0 for x > c1 t.  The integrand's 1/omega
+    # front tail, cut at w_max where its phase rate is near 0, gives
+    # u1 = -5.0e-3 here unless it is subtracted.  Held to 1e-3 of the field
+    # scale of (20, 24)
+    u = field_modal_integral(50.0, 100.05, DEFAULT_PARAMS)
+    assert np.max(np.abs(u)) <= 1e-3 * 0.0287
+
+
+def test_field_next_to_the_source_is_the_uncoupled_front():
+    # at t -> 0+ the coupling has not acted yet: u1 = -J0(omega1 tau)/(2 c1)
+    # = -0.25 at (1e-3, 0).  The integrand's 1/omega tail, cut at w_max,
+    # gives -0.145 here unless it is subtracted
+    u = field_modal_integral(1e-3, 0.0, DEFAULT_PARAMS)
+    assert u[0] == pytest.approx(scalar_kg_exact(1e-3, 0.0, 2.0, 3.0), abs=1e-5)
+    assert abs(u[1]) < 1e-6
+
+
 def test_silent_outside_front():
     # V = x/t above the faster speed: exponentially small once the front
     # has passed a few widths beyond the observation point
@@ -231,7 +294,7 @@ def test_controls_are_honoured(monkeypatch):
     monkeypatch.setattr(oracle, "_auto_epsilon", lambda t, x, c1: 0.002)
     u, info = field_modal_integral(20.0, 24.0, DEFAULT_PARAMS, return_info=True)
     assert info["epsilon"] == 0.002
-    assert u[0] == pytest.approx(0.02873566377564936, abs=1e-6)
+    assert u[0] == pytest.approx(0.02873564642655081, abs=1e-6)
 
 
 def test_scalar_exact_frozen():
@@ -246,12 +309,16 @@ def test_scalar_far_matches_exact_deep_inside_cone():
 
 
 def test_decoupled_limit_matches_scalar_closed_form():
-    # mu -> 0: component 1 must collapse onto the single-line closed form
+    # mu -> 0: the quadrature of the uncoupled integrand on the full cutoff
+    # must collapse onto the single-line closed form, which the oracle adds
+    # back after subtracting that integrand
     p = validate(WaveguideParams(c1=2.0, c2=1.8, omega1=3.0, omega2=3.5, mu=0.0))
     t, x = 25.0, 20.0
-    u = field_modal_integral(t, x, p)
-    assert u[0] == pytest.approx(scalar_kg_exact(t, x, 2.0, 3.0), abs=2e-7)
-    assert abs(u[1]) < 1e-9
+    u, info = oracle._uncoupled_quadrature(np.array([t]), np.array([x]), p)
+    assert info[0]["error"] is None
+    assert info[0]["omega_max"] == oracle._panels(t, x, p)[2][-1][1]
+    assert u[0, 0] == pytest.approx(scalar_kg_exact(t, x, 2.0, 3.0), abs=2e-7)
+    assert abs(u[0, 1]) < 1e-9
 
 
 def test_j_int_quadrature_component_structure():

@@ -219,8 +219,7 @@ def cmd_field(args: argparse.Namespace, params: WaveguideParams) -> int:
 
 
 def cmd_compare(args: argparse.Namespace, params: WaveguideParams) -> int:
-    runners = [getattr(acceptance, f"criterion_{i:02d}") for i in range(1, 13)]
-    results = [run(params) for run in runners]
+    results = [run(params) for run in acceptance.CRITERIA]
     report = {
         "config": _config_echo(args, params),
         "criteria": [

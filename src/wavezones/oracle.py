@@ -73,18 +73,9 @@ import math
 
 import numpy as np
 
-from .dispersion import k_squared_roots
+from .dispersion import derivatives_at, k_squared_roots
 from .errors import InvalidArgument, NoConvergence, OutsideFarZone, OutsideWedge
-from .model import (
-    WaveguideParams,
-    crossing_point,
-    j_parameters,
-    modal_weight,
-    symbol_dk,
-    symbol_dw,
-    symbol_numerator,
-    symbol_pq,
-)
+from .model import WaveguideParams, crossing_point, j_parameters, modal_weight, symbol_numerator
 from .special import bessel_j0
 
 __all__ = [
@@ -262,8 +253,7 @@ def _tail_correction(w_end, t, x, params: WaveguideParams):
     """
     tail = -_uncoupled_tail(w_end, t, x, params)
     for k, h in _coupled_roots(w_end, params):
-        P, Q = symbol_pq(w_end, k, params)
-        rate = (-symbol_dw(w_end, P, Q) / symbol_dk(k, P, Q, params)) * x - t
+        rate = derivatives_at(w_end, k, params).kp * x - t
         tail += _one_term_tail(k, h, rate, w_end, t, x)
     return tail
 

@@ -149,7 +149,9 @@ def _solve_segment(branch: int, w, vg, V: float, params: WaveguideParams):
     return dispersion.bracketed_newton(branch, lambda d: (d.kp.real - 1.0 / V, d.kpp.real), a, b, x, params)
 
 
-@functools.lru_cache(maxsize=4096)
+# both caches hold the rows in flight: a zone diagram never repeats a V, and
+# an assembly reuses one to three keys per grid V (x/t rounds to neighbours)
+@functools.lru_cache(maxsize=512)
 def find_real_saddles(V: float, params: WaveguideParams):
     """All real stationary points at observer speed V, sorted by family index.
 
@@ -183,7 +185,7 @@ def find_real_saddles(V: float, params: WaveguideParams):
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.lru_cache(maxsize=512)
 def find_complex_saddles(V: float, params: WaveguideParams):
     """Exponentially decaying complex saddles born at the extremum merges.
 

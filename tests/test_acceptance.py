@@ -1,65 +1,35 @@
-"""Acceptance gate: one test per shipped criterion.
-
-Each test prints the criterion's own summary line (run pytest with -s or -rP
-to see them) and fails iff the criterion fails. The measured numbers live in
-the acceptance module itself so the CLI `compare` subcommand and this suite
-cannot drift apart.
+"""Acceptance gate: one case per entry of acceptance.CRITERIA, the list that
+`wavezones compare` runs, so the two cannot drift apart.  A case is named
+test_<id>_<slug> (-k c07 selects one), prints its criterion's line (see them
+with -s or -rP) and fails iff the criterion fails.
 """
 
-import pytest
+import re
 
 from wavezones import acceptance
 
+SLUGS = dict(
+    c01="decoupled_limit_matches_closed_form", c02="saddle_census_transitions",
+    c03="separated_rays_converge_like_inverse_sqrt", c04="extremum_ray_airy_form_and_handoff",
+    c05="pulse_closed_form_vs_loop_quadrature", c06="pulse_band_composition",
+    c07="special_functions_vs_reference", c08="group_velocity_consistency",
+    c09="crossing_and_branch_point_residuals", c10="isolation_monotone_in_time",
+    c11="loop_integral_self_consistency", c12="silence_outside_support",
+)
 
-def _check(fn):
-    res = fn()
+
+def _check(criterion):
+    res = criterion()
     print(res.line())
     assert res.passed, res.line()
 
 
-def test_c01_decoupled_limit_matches_closed_form():
-    _check(acceptance.criterion_01)
+for _c in acceptance.CRITERIA:
+    globals()[f"test_{_c.ident}_{SLUGS.get(_c.ident, 'criterion')}"] = lambda criterion=_c: _check(criterion)
 
 
-def test_c02_saddle_census_transitions():
-    _check(acceptance.criterion_02)
-
-
-def test_c03_separated_rays_converge_like_inverse_sqrt():
-    _check(acceptance.criterion_03)
-
-
-def test_c04_extremum_ray_airy_form_and_handoff():
-    _check(acceptance.criterion_04)
-
-
-def test_c05_pulse_closed_form_vs_loop_quadrature():
-    _check(acceptance.criterion_05)
-
-
-def test_c06_pulse_band_composition():
-    _check(acceptance.criterion_06)
-
-
-def test_c07_special_functions_vs_reference():
-    _check(acceptance.criterion_07)
-
-
-def test_c08_group_velocity_consistency():
-    _check(acceptance.criterion_08)
-
-
-def test_c09_crossing_and_branch_point_residuals():
-    _check(acceptance.criterion_09)
-
-
-def test_c10_isolation_monotone_in_time():
-    _check(acceptance.criterion_10)
-
-
-def test_c11_loop_integral_self_consistency():
-    _check(acceptance.criterion_11)
-
-
-def test_c12_silence_outside_support():
-    _check(acceptance.criterion_12)
+def test_registry_holds_c01_to_c12_in_order_and_enforces_runtime_limits(monkeypatch):
+    assert [c.ident for c in acceptance.CRITERIA] == [f"c{i:02d}" for i in range(1, 13)]
+    monkeypatch.setattr(acceptance, "CRITERIA", [])
+    res = acceptance._criterion("c99", "stub", limit=0)(lambda params: (True, "ok"))()
+    assert not res.passed and re.fullmatch(r"ok, runtime \d+\.\ds \(limit 0s\)", res.measure)

@@ -7,6 +7,7 @@ import contextlib
 import io
 import json
 import re
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -83,12 +84,18 @@ def test_csv_output_renders_no_svg(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "z.json")]) == 0
 
 
+def _stub_slow_criteria(monkeypatch):
+    # the oracle-heavy criteria are stubbed; the rest run for real
+    def stub(ident):
+        return lambda params: acceptance.CriterionResult(ident, "stub", True, "stubbed", 0.0)
+
+    slow = {"c01", "c03", "c06", "c12"}
+    monkeypatch.setattr(acceptance, "CRITERIA", [stub(c.ident) if c.ident in slow else c for c in acceptance.CRITERIA])
+
+
 def test_compare_report_is_json(tmp_path, monkeypatch):
-    # the oracle-heavy criteria are stubbed; the rest, c09 included, run for
-    # real so their results go through the JSON encoder
-    for ident in ("01", "03", "06", "12"):
-        stub = acceptance.CriterionResult(f"c{ident}", "stub", True, "stubbed", 0.0)
-        monkeypatch.setattr(acceptance, f"criterion_{ident}", lambda params, stub=stub: stub)
+    # c09 among others runs for real, so its result goes through the JSON encoder
+    _stub_slow_criteria(monkeypatch)
     out = tmp_path / "c.json"
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
@@ -100,6 +107,22 @@ def test_compare_report_is_json(tmp_path, monkeypatch):
     c09 = next(c for c in doc["criteria"] if c["id"] == "c09")
     assert c09["passed"] is True
     assert "branch points" in c09["measure"]
+
+
+def test_compare_without_scipy_fails_only_c07(tmp_path, monkeypatch):
+    # scipy is c07's reference and no runtime dependency: without it compare
+    # still writes all twelve results, and exits 1
+    _stub_slow_criteria(monkeypatch)
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    monkeypatch.setitem(sys.modules, "scipy.special", None)
+    out = tmp_path / "c.json"
+    with contextlib.redirect_stderr(io.StringIO()):
+        rc = main(["compare", "--out", str(out)])
+    assert rc == 1
+    doc = json.loads(_read(out))
+    assert doc["total"] == 12 and doc["passed"] == 11
+    failed = [(c["id"], c["measure"]) for c in doc["criteria"] if not c["passed"]]
+    assert failed == [("c07", "reference library scipy not installed")]
 
 
 def test_dispersion_svg_parses(tmp_path):

@@ -277,6 +277,8 @@ def assemble_field(t: float, x: float, params: WaveguideParams, S: float = 3.0) 
     and flagged via used_oracle.  The returned terms are new descriptors
     carrying their values; the classifier's shared ones stay valueless.
     """
+    if not (math.isfinite(t) and math.isfinite(x)):
+        raise InvalidArgument(f"assemble_field needs finite t and x, got t={t!r}, x={x!r}")
     if x <= 0.0:
         raise InvalidArgument(f"assemble_field needs x > 0, got x={x!r}")
     V = x / t if t > 0.0 else math.inf

@@ -42,14 +42,15 @@ estimate of the returned value, closed form included, reported through
 The error estimate, not the base grid, sets each point's density (the
 trapezoid rule converges geometrically on the shifted line; Trefethen &
 Weideman, SIAM Rev. 56, 2014).  So the base grids are coarse: an interior
-point starts at 1.5 samples per unit of its phase rate, at least 300/unit,
-and may double :data:`_MAX_REFINEMENT` = 4 times.  The coarse start costs
-no reach: the finest grid is still 4800/unit at the floor and 24 samples
-per unit of phase rate above it, so :class:`NoConvergence` means that
-density did not suffice.  A silent point starts at a flat 75/unit, because
-its accuracy comes from e^{-eps * slack}, not from the grid.  The interior
-density and the silent eps are rounded up to a sqrt(2) ladder, so that
-nearby points share a grid.
+point starts at 0.75 samples per unit of its phase rate, at least 300/unit,
+and may double :data:`_MAX_REFINEMENT` = 5 times.  The coarse start costs
+no reach: the finest grid is 9600/unit at the floor and 24 samples per unit
+of phase rate above it, so :class:`NoConvergence` means that density did
+not suffice.  A silent point starts at a flat 75/unit, because its accuracy
+comes from e^{-eps * slack}, not from the grid.  The interior density and
+both contour heights sit on sqrt(2) ladders, so that nearby points share a
+grid: the interior eps is the largest rung 1e-3 * 2^(-j/2), j >= 0, not
+above 0.25/t, and the silent eps is rounded up to a power of sqrt(2).
 
 Most of a sample's cost depends on omega alone: the roots k and their
 weights.  :func:`field_modal_integral` therefore takes arrays of (t, x) as
@@ -87,7 +88,7 @@ __all__ = [
 
 
 #: density doublings attempted before giving up
-_MAX_REFINEMENT = 4
+_MAX_REFINEMENT = 5
 #: relative Richardson target
 _TOL = 3e-4
 #: absolute convergence floor (silent-zone values)
@@ -114,7 +115,9 @@ def _sqrt2_ladder(v: float, base: float) -> float:
 def _auto_epsilon(t: float, x: float, c1: float) -> float:
     slack = x / c1 - t
     if t > 0.0 and slack < 0.0:
-        return min(1e-3, 0.25 / max(t, 1.0))
+        # the largest rung 1e-3 * 2^(-j/2), j >= 0, not above 0.25 / t, so
+        # that the rows of a late window share grids
+        return 1e-3 / _sqrt2_ladder(max(4e-3 * t, 1.0), 1.0)
     # silent region: push the contour up until e^{-eps * slack} is negligible,
     # on a sqrt(2) ladder so that silent points share grids
     if t <= 0.0:
@@ -137,10 +140,10 @@ def _panels(t: float, x: float, params: WaveguideParams):
     same frequencies at every level, each up to its own cutoff.
 
     The base grid is deliberately coarse and the Richardson test decides how
-    far to refine.  An interior point starts at 1.5 samples per unit of its
+    far to refine.  An interior point starts at 0.75 samples per unit of its
     phase rate x/c2 + |t|, at least 300, rounded up to the ladder
     300 * 2^(j/2) so that nearby points share a grid; its finest reachable
-    density, ppu * 2^_MAX_REFINEMENT, is thus at least 4800/unit and at least
+    density, ppu * 2^_MAX_REFINEMENT, is thus at least 9600/unit and at least
     24 (x/c2 + |t|): the coarse start saves samples, not reach.
     A silent point starts at a flat 75/unit: its large eps makes its value
     e^{-eps * slack} small whatever the grid.
@@ -150,7 +153,7 @@ def _panels(t: float, x: float, params: WaveguideParams):
     w_split = max(8.0, 1.2 * cp.omega_c)
     w_max = max(50.0 * cp.omega_c, w_split + 20.0)
     if t > 0.0 and x / params.c1 < t:  # the interior test of _auto_epsilon
-        ppu = _sqrt2_ladder(max(300.0, 1.5 * (x / params.c2 + abs(t))), 300.0)
+        ppu = _sqrt2_ladder(max(300.0, 0.75 * (x / params.c2 + abs(t))), 300.0)
     else:
         ppu = 75.0
     panels = (
@@ -407,7 +410,7 @@ def field_modal_integral(t, x, params: WaveguideParams, return_info: bool = Fals
     between them: it is an estimate, not a bound, and it does not see the
     truncation at ``omega_max``.  At the interior points of the 6x5 ``field``
     window (t 30-220, V 0.65-1.8125) the returned value differs from the
-    next finer level by up to 0.77x it.
+    next finer level by up to 0.56x it.
 
     An array call returns shape (n, 2), and with return_info=True also a list
     of n such dicts.  A point that does not converge gets a NaN row and its
@@ -418,6 +421,9 @@ def field_modal_integral(t, x, params: WaveguideParams, return_info: bool = Fals
     if not scalar and (ts.ndim != 1 or ts.shape != xs.shape):
         raise InvalidArgument(f"t and x must be scalars or equal-length 1-D arrays, got shapes {ts.shape}, {xs.shape}")
     ts, xs = ts.reshape(-1).tolist(), xs.reshape(-1).tolist()
+    bad = next(((ti, xi) for ti, xi in zip(ts, xs) if not (math.isfinite(ti) and math.isfinite(xi))), None)
+    if bad is not None:
+        raise InvalidArgument(f"field is evaluated at finite (t, x), got t={bad[0]!r}, x={bad[1]!r}")
     bad = next((xi for xi in xs if xi < 0.0), None)
     if bad is not None:
         raise InvalidArgument(f"field is evaluated for x >= 0 (it is even in x), got x={bad!r}")

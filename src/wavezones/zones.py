@@ -291,6 +291,9 @@ def classify(t: float, V: float, params: WaveguideParams, S: float = 3.0):
     """
     if S <= 0.0:
         raise InvalidArgument(f"threshold S must be positive, got S={S!r}")
+    # V = inf stands for t <= 0 (assemble_field), so only NaN is refused
+    if math.isnan(t) or math.isnan(V):
+        raise InvalidArgument(f"classify needs t and V that are numbers, got t={t!r}, V={V!r}")
     if t <= 0.0 or V >= params.c1:
         return _ZERO, []
     label, descriptors = _at(_row(V, params), t, S)

@@ -2,6 +2,7 @@
 every other failure names the numbers it saw."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -42,6 +43,29 @@ SITES = {
 @pytest.mark.parametrize("site", sorted(SITES))
 def test_bad_argument_raises_wavezones_error_with_its_value(site):
     call, value = SITES[site]
+    with pytest.raises(WavezonesError) as info:
+        call()
+    assert isinstance(info.value, ValueError)
+    assert value in str(info.value)
+
+
+NAN, INF = math.nan, math.inf
+NON_FINITE = {  # a NaN or infinite t, x or V, and the value the message must name
+    "field_modal_integral t nan": (lambda: field_modal_integral(NAN, 1.0, P), "t=nan"),
+    "field_modal_integral t inf": (lambda: field_modal_integral(INF, 1.0, P), "t=inf"),
+    "field_modal_integral x inf": (lambda: field_modal_integral(10.0, INF, P), "x=inf"),
+    "field_modal_integral array x nan": (lambda: field_modal_integral([1.0, 2.0], [1.0, NAN], P), "x=nan"),
+    "assemble_field t nan": (lambda: assemble_field(NAN, 1.0, P), "t=nan"),
+    "assemble_field x nan": (lambda: assemble_field(10.0, NAN, P), "x=nan"),
+    "assemble_field x inf": (lambda: assemble_field(10.0, INF, P), "x=inf"),
+    "classify t nan": (lambda: classify(NAN, 1.0, P), "t=nan"),
+    "classify V nan": (lambda: classify(20.0, NAN, P), "V=nan"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(NON_FINITE))
+def test_non_finite_argument_raises_with_its_value(site):
+    call, value = NON_FINITE[site]
     with pytest.raises(WavezonesError) as info:
         call()
     assert isinstance(info.value, ValueError)

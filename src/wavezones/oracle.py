@@ -421,12 +421,9 @@ def field_modal_integral(t, x, params: WaveguideParams, return_info: bool = Fals
     if not scalar and (ts.ndim != 1 or ts.shape != xs.shape):
         raise InvalidArgument(f"t and x must be scalars or equal-length 1-D arrays, got shapes {ts.shape}, {xs.shape}")
     ts, xs = ts.reshape(-1).tolist(), xs.reshape(-1).tolist()
-    bad = next(((ti, xi) for ti, xi in zip(ts, xs) if not (math.isfinite(ti) and math.isfinite(xi))), None)
+    bad = next(((ti, xi) for ti, xi in zip(ts, xs) if not (math.isfinite(ti) and 0.0 <= xi < math.inf)), None)
     if bad is not None:
-        raise InvalidArgument(f"field is evaluated at finite (t, x), got t={bad[0]!r}, x={bad[1]!r}")
-    bad = next((xi for xi in xs if xi < 0.0), None)
-    if bad is not None:
-        raise InvalidArgument(f"field is evaluated for x >= 0 (it is even in x), got x={bad!r}")
+        raise InvalidArgument(f"field is evaluated for finite t and x >= 0 (it is even in x), got t={bad[0]!r}, x={bad[1]!r}")
     u, infos = _quadrature(ts, xs, params)
     if scalar:
         if infos[0]["error"] is not None:

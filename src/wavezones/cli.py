@@ -37,6 +37,11 @@ def _num(v: float) -> str:
     return f"{v:.17g}"
 
 
+def _json_num(v: float) -> float | None:
+    """v for a JSON document, which has no NaN: null there."""
+    return None if math.isnan(v) else v
+
+
 def _parse_grid(text: str) -> tuple[int, int]:
     try:
         n, m = text.lower().split("x")
@@ -44,7 +49,7 @@ def _parse_grid(text: str) -> tuple[int, int]:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"grid must look like 60x40, got {text!r}") from exc
     if n < 1 or m < 1:
-        raise argparse.ArgumentTypeError("grid dimensions must be positive")
+        raise argparse.ArgumentTypeError(f"grid dimensions must be positive, got {text!r}")
     return n, m
 
 
@@ -105,7 +110,7 @@ def _emit(args: argparse.Namespace, header: list[str], rows: list[str] | None,
     if fmt == "svg":
         text = render_svg() if render_svg is not None else ""
     elif fmt == "json":
-        text = json.dumps(json_obj, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(json_obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     else:
         text = "".join(f"# {line}\n" for line in header) + "".join(rows or [])
     if args.out:
@@ -127,7 +132,7 @@ def cmd_dispersion(args: argparse.Namespace, params: WaveguideParams) -> int:
     json_obj = {
         "config": header,
         "rows": [
-            {name: float(rec[name]) for name in ("omega", "k1", "k2", "vg1", "vg2")}
+            {name: _json_num(float(rec[name])) for name in ("omega", "k1", "k2", "vg1", "vg2")}
             for rec in table
         ],
     }
@@ -208,7 +213,7 @@ def cmd_field(args: argparse.Namespace, params: WaveguideParams) -> int:
         "points": [
             {
                 "t": r[0], "V": r[1], "zone": r[2],
-                "u_oracle": [r[3], r[4]], "u_asym": [r[5], r[6]],
+                "u_oracle": [_json_num(v) for v in r[3:5]], "u_asym": [_json_num(v) for v in r[5:7]],
                 "terms": r[7], "converged": r[8],
             }
             for r in results
@@ -234,7 +239,7 @@ def cmd_compare(args: argparse.Namespace, params: WaveguideParams) -> int:
         "passed": sum(r.passed for r in results),
         "total": len(results),
     }
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)
@@ -263,7 +268,7 @@ def cmd_scalar(args: argparse.Namespace, params: WaveguideParams) -> int:
             rows.append(f"{_num(t)},{_num(V)},{lab},{_num(exact)},{_num(far)}\n")
             points.append(
                 {"t": t, "V": V, "label": lab,
-                 "u_exact": exact, "u_far": None if np.isnan(far) else far}
+                 "u_exact": exact, "u_far": _json_num(far)}
             )
     diag = ZoneDiagram(t_grid=t_grid, v_grid=v_grid, labels=labels, boundaries={}, monotone=True)
     _emit(args, header, rows, {"config": header, "points": points},

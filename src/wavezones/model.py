@@ -143,7 +143,7 @@ def load_params(source) -> WaveguideParams:
         except (OSError, json.JSONDecodeError) as exc:
             raise ParameterFileError(f"cannot read parameter file {source!r}: {exc}") from exc
     if not isinstance(data, dict):
-        raise ParameterFileError("parameter file must hold a JSON object")
+        raise ParameterFileError(f"parameter file must hold a JSON object, got {type(data).__name__}")
     unknown = sorted(set(data) - set(_PARAM_KEYS))
     if unknown:
         raise ParameterFileError(f"unknown parameter key(s): {', '.join(unknown)}")

@@ -31,7 +31,13 @@ remainder of that tail, :func:`_tail_remainder`, stays under
 front the tail's phase rate goes to 0 and L grows, up to w_max.  The
 ``omega_max`` that :func:`field_modal_integral` reports is the point's L.
 
-Refinement nests: each level doubles the interval count of both panels, so
+The frequency line is cut into three panels: the inner [0, w_split], which
+holds the cutoffs and the crossing, the middle [w_split, W] and the far
+[W, w_max], W = w_max 2^(-J/2) being the lowest rung of the cutoff ladder
+(22.6 on the default preset).  Every L is a rung, so the middle panel is
+always whole and L is a node of the far panel.
+
+Refinement nests: each level doubles the interval count of every panel, so
 its trapezoid sum is the previous level's sum plus only the new odd-indexed
 samples, and a point that stops after d doublings has evaluated each sample of
 its finest grid exactly once.  Successive levels are compared as a Richardson
@@ -47,22 +53,34 @@ and may double :data:`_MAX_REFINEMENT` = 5 times.  The coarse start costs
 no reach: the finest grid is 9600/unit at the floor and 24 samples per unit
 of phase rate above it, so :class:`NoConvergence` means that density did
 not suffice.  A silent point starts at a flat 75/unit, because its accuracy
-comes from e^{-eps * slack}, not from the grid.  The interior density and
+comes from e^{-eps * slack}, not from the grid.  The inner panel takes 4x
+that density, the middle panel that density.  Above W the integrand is far
+from every branch point and oscillates only at its roots' phase rates
+|x dk/domega - t|, and there dk/domega falls monotonically from its value at
+W to 1/c_r; so R, the largest of those rates at W and as omega -> inf,
+bounds them all, and the far panel starts at :data:`_FAR_PER_RATE` = 3
+samples per unit of R, at least :data:`_FAR_FLOOR` = 8, capped at the
+point's density.  The factor is not lower because the trapezoid error at
+the junction W, (h_mid^2 - h_far^2) f'(W) / 12, is O(h^2): at 0.75 R the
+default window's point (381.6, 660.4) reads 0.54 of the tolerance off a
+4x-denser trapezoid, and 0.20 at 3 R.  The interior density and
 both contour heights sit on sqrt(2) ladders, so that nearby points share a
 grid: the interior eps is the largest rung 1e-3 * 2^(-j/2), j >= 0, not
 above 0.25/t, and the silent eps is rounded up to a power of sqrt(2).
 
 Most of a sample's cost depends on omega alone: the roots k and their
 weights.  :func:`field_modal_integral` therefore takes arrays of (t, x) as
-well, and groups the points by their quadrature grid (contour height eps
-and the two panels, whose last one ends at w_max, all set per point by
-:func:`_panels`).  Each point takes the grid's samples up to its own
-cutoff, a node of the grid (:func:`_cutoff`).  Each group walks the nested
-doublings once, block by block: a block's omega tables are computed once,
-up to the largest cutoff still needed, then every point still refining adds
-only its own e^{i (k x - omega t)} sums.  Each point keeps its own cutoff,
-tail correction, Richardson test and stopping level, so its value does not
-depend on which points share its grid; a scalar call is a group of one.
+well, and shares the frequency tables per contour height eps and panel,
+both set per point by :func:`_panels`: points of one interior density share
+their inner and middle tables, and each far density has its own small
+table.  Each point takes the far panel's samples up to its own cutoff, a
+node of that panel (:func:`_cutoff`); a point whose cutoff is W takes none.
+The call walks the nested doublings once, and each table block by block: a
+block's omega tables are computed once, up to the largest count still
+needed, then every point still refining adds only its own
+e^{i (k x - omega t)} sums.  Each point keeps its own cutoff, tail
+correction, Richardson test and stopping level, so its value does not
+depend on which points share its tables; a scalar call is a call of one.
 
 The module also carries the scalar one-layer references and the direct loop
 quadrature of the exchange-pulse integral, used as oracles in the tests.
@@ -70,6 +88,8 @@ quadrature of the exchange-pulse integral, used as oracles in the tests.
 
 from __future__ import annotations
 
+import collections
+import functools
 import math
 
 import numpy as np
@@ -104,6 +124,10 @@ _TAIL_DECAY = 4.0
 #: temporaries stay in a 2 MB L2 cache (32k-sample blocks run 5-10% slower and add 10 MB of peak
 #: memory; 400k-sample blocks cost 1.1-1.4x more per sample)
 _BLOCK = 8_192
+#: the far panel's density: _FAR_PER_RATE samples per unit of the bound on
+#: its phase rates, at least _FAR_FLOOR per unit
+_FAR_PER_RATE = 3.0
+_FAR_FLOOR = 8.0
 
 
 def _sqrt2_ladder(v: float, base: float) -> float:
@@ -130,14 +154,45 @@ def _sqrt_upper(r):
     return np.where(s.imag < 0.0, -s, s)
 
 
+def _rungs(w_split: float, w_max: float) -> np.ndarray:
+    """The cutoff ladder w_max 2^(-j/2), j >= 0, down to its lowest rung W,
+    the last one not below 2 w_split.  Every cutoff is a rung, so no cutoff
+    lies below W, where the far panel starts."""
+    return w_max * 2.0 ** (-0.5 * np.arange(1 + max(0, math.floor(2.0 * math.log2(w_max / (2.0 * w_split))))))
+
+
+@functools.lru_cache(maxsize=64)
+def _frame(params: WaveguideParams):
+    """(w_split, W, w_max, slopes) of the parameter set: the panel ends, and
+    dk/domega at both ends of [W, inf) of every root in :func:`_tables`.
+
+    On [W, inf) each root's dk/domega falls monotonically from its value at
+    W to 1/c_r, the coupled roots pairing with the layers by the order of k^2
+    as in :func:`_tail_remainder`; slopes holds both ends of every root.
+    Cached per parameter set, as :func:`crossing_point` is.
+    """
+    cp = crossing_point(params)
+    w_split = max(8.0, 1.2 * cp.omega_c)
+    w_max = max(50.0 * cp.omega_c, w_split + 20.0)
+    W = float(_rungs(w_split, w_max)[-1])
+    slopes = []
+    for (k, _), (c, _, _) in zip(_coupled_roots(W, params), _layers(params)):
+        slopes += [1.0 / c, float(np.real(derivatives_at(W, k, params).kp))]
+    for j in _forced(params):
+        c = _layers(params)[j][0]
+        slopes += [1.0 / c, float(np.real(_uncoupled_root(W, j, params)[2]))]
+    return w_split, W, w_max, tuple(slopes)
+
+
 def _panels(t: float, x: float, params: WaveguideParams):
     """Quadrature grid of the point (t, x): (eps, ppu, panels).
 
-    ppu is the base sample density on the outer panel; the cutoff panel
-    [0, w_split] is always sampled 4x denser.  panels holds each panel's
-    (lo, hi, base interval count), and the outer one ends at w_max, the
-    top of the cutoff ladder.  Points with equal eps and panels sample the
-    same frequencies at every level, each up to its own cutoff.
+    panels holds three panels, each (lo, hi, base interval count): the inner
+    [0, w_split] at 4 ppu, the middle [w_split, W] at ppu, and the far
+    [W, w_max] at ppu_far.  W is the lowest rung of the cutoff ladder
+    (:func:`_rungs`) and w_max its top, so every point's cutoff lies in the
+    far panel, and is rounded to one of its nodes.  Points with equal eps
+    and an equal panel sample the same frequencies on it at every level.
 
     The base grid is deliberately coarse and the Richardson test decides how
     far to refine.  An interior point starts at 0.75 samples per unit of its
@@ -147,18 +202,26 @@ def _panels(t: float, x: float, params: WaveguideParams):
     24 (x/c2 + |t|): the coarse start saves samples, not reach.
     A silent point starts at a flat 75/unit: its large eps makes its value
     e^{-eps * slack} small whatever the grid.
+
+    Above W the integrand is far from every branch point and oscillates at
+    the phase rates |x dk/domega - t| of its roots, which the slopes of
+    :func:`_frame` bound by R = the largest |x s - t|.  So the far panel
+    needs only :data:`_FAR_PER_RATE` samples per unit of R, at least
+    :data:`_FAR_FLOOR`, rounded up to the ladder 300 * 2^(j/2) and capped at
+    ppu.
     """
-    cp = crossing_point(params)
+    w_split, W, w_max, slopes = _frame(params)
     eps = _auto_epsilon(t, x, params.c1)
-    w_split = max(8.0, 1.2 * cp.omega_c)
-    w_max = max(50.0 * cp.omega_c, w_split + 20.0)
     if t > 0.0 and x / params.c1 < t:  # the interior test of _auto_epsilon
         ppu = _sqrt2_ladder(max(300.0, 0.75 * (x / params.c2 + abs(t))), 300.0)
     else:
         ppu = 75.0
+    rate = max(abs(x * s - t) for s in slopes)
+    ppu_far = min(ppu, _sqrt2_ladder(max(_FAR_FLOOR, _FAR_PER_RATE * rate), 300.0))
     panels = (
         (0.0, w_split, max(64, int(4.0 * ppu * w_split))),
-        (w_split, w_max, max(64, int(ppu * (w_max - w_split)))),
+        (w_split, W, max(64, int(ppu * (W - w_split)))),
+        (W, w_max, max(64, int(ppu_far * (w_max - W)))),
     )
     return eps, ppu, panels
 
@@ -287,22 +350,23 @@ def _tail_remainder(omega, t, x, params: WaveguideParams):
 
 
 def _cutoff(t: float, x: float, eps: float, panels, params: WaveguideParams) -> int:
-    """The point's base interval count on the outer panel: its cutoff.
+    """The point's base interval count on the far panel: its cutoff.
 
-    The cutoff is the lowest rung of w_max 2^(-j/2), j >= 0, not below
-    2 w_split, at and above which :func:`_tail_remainder` stays under
-    :data:`_TAIL_BOUND`, or w_max where no rung qualifies; it is then rounded
-    up to a node of the base grid, so that it is a node at every level.
+    The cutoff is the lowest rung of :func:`_rungs` at and above which
+    :func:`_tail_remainder` stays under :data:`_TAIL_BOUND`, or w_max where
+    no rung qualifies; it is then rounded up to a node of the far panel's
+    base grid, so that it is a node at every level.  A cutoff at W, the
+    far panel's start, is node 0: the point takes no far sample.
     """
-    lo, w_max, n = panels[-1]
-    rungs = w_max * 2.0 ** (-0.5 * np.arange(1 + max(0, math.floor(2.0 * math.log2(w_max / (2.0 * lo))))))
+    (_, w_split, _), _, (W, w_max, n) = panels
+    rungs = _rungs(w_split, w_max)
     ok = np.logical_and.accumulate(_tail_remainder(rungs + 1j * eps, t, x, params) <= _TAIL_BOUND)
     L = float(rungs[ok][-1]) if ok[0] else w_max
-    return min(n, math.ceil((L - lo) / (w_max - lo) * n))
+    return min(n, math.ceil((L - W) / (w_max - W) * n))
 
 
 def _truncated(panel, m: int):
-    """The outer panel (lo, hi, n) cut at node m of its base grid: (lo, L, m)."""
+    """The far panel (lo, hi, n) cut at node m of its base grid: (lo, L, m)."""
     lo, hi, n = panel
     return lo, lo + (hi - lo) * (m / n), m
 
@@ -337,18 +401,19 @@ def _closed_form(t: float, x: float, params: WaveguideParams) -> np.ndarray:
     return np.array([f * scalar_kg_exact(t, x, c, om) for c, om, f in _layers(params)])
 
 
-def _integrate_group(points, cuts, eps, panels, params, uncoupled=False):
-    """Nested trapezoid refinement of every point of one quadrature grid.
+def _integrate_group(points, grids, cuts, params, uncoupled=False):
+    """Nested trapezoid refinement of the points, each on its own grid.
 
-    cuts holds each point's base interval count on the outer panel.  Each
-    point keeps its own cutoff, tail, Richardson test and stopping level;
-    only the frequency tables are shared.  The integrand is the coupled one
-    minus the mu = 0 one, with the closed form added back, or with
+    grids holds each point's (eps, ppu, panels) of :func:`_panels`, and cuts
+    its base interval count on the far panel.  The frequency tables are
+    shared per (eps, panel): every point with that contour height and panel
+    adds its sums from the same blocks.  Each point keeps its own cutoff,
+    tail, Richardson test and stopping level.  The integrand is the coupled
+    one minus the mu = 0 one, with the closed form added back, or with
     uncoupled the mu = 0 integrand alone.  Returns per point
     (u, doublings, Richardson estimate), with u None when tolerance is never met.
     """
-    (_, _, n0), outer = panels
-    ends = [_truncated(outer, m)[1] + 1j * eps for m in cuts]
+    ends = [_truncated(panels[-1], m)[1] + 1j * eps for (eps, _, panels), m in zip(grids, cuts)]
     if uncoupled:
         tables = _uncoupled_tables
         tails = np.array([_uncoupled_tail(w, t, x, params) for w, (t, x) in zip(ends, points)])
@@ -357,34 +422,50 @@ def _integrate_group(points, cuts, eps, panels, params, uncoupled=False):
         tables = _tables
         tails = np.array([_tail_correction(w, t, x, params) for w, (t, x) in zip(ends, points)])
         base = np.array([_closed_form(t, x, params) for t, x in points])
-    counts = [np.full(len(points), n0), np.array(cuts)]
+    # per point and panel: base interval count (the far one cut) and spacing
+    counts = np.array([[n for _, _, n in panels[:-1]] + [m] for (_, _, panels), m in zip(grids, cuts)])
+    steps = np.array([[(hi - lo) / n for lo, hi, n in panels] for _, _, panels in grids])
+    shared: dict = {}
+    for i, (eps, _, panels) in enumerate(grids):
+        for p, panel in enumerate(panels):
+            shared.setdefault((eps, p, panel), []).append(i)
+    shared = {key: np.array(rows) for key, rows in shared.items()}
+    sums = np.zeros(counts.shape + (2,), dtype=complex)
     out = [(None, 0, math.inf)] * len(points)
 
-    def value(sums, rows, level):
-        raw = sum(s * ((p_hi - p_lo) / (p_n << level)) for s, (p_lo, p_hi, p_n) in zip(sums, panels))
-        return base[rows] + 2.0 * np.real((raw + tails[rows]) * (1j / (2.0 * math.pi)))
+    def sweep(active, level):
+        """Add the samples new at level to the sums of the active points:
+        at level 0 every sample, the two ends (of a nonempty panel) at half
+        weight; at level d only the odd-indexed samples of the halved spacing."""
+        live = np.zeros(len(points), dtype=bool)
+        live[active] = True
+        for (eps, p, (lo, _, _)), rows in shared.items():
+            rows = rows[live[rows]]
+            if not rows.size:
+                continue
+            c, step = counts[rows, p], steps[rows[0], p] / 2**level
+            at = [points[i] for i in rows]
+            if level == 0:
+                sums[rows, p] += _sample_sums(at, c + (c > 0), lo, step, 0, 1, eps, params, tables, halve_ends=True)
+            else:
+                sums[rows, p] += _sample_sums(at, c << (level - 1), lo, step, 1, 2, eps, params, tables)
 
-    # level 0: every sample at full weight but the two ends, at half weight
-    sums = [
-        _sample_sums(points, c + 1, p_lo, (p_hi - p_lo) / p_n, 0, 1, eps, params, tables, halve_ends=True)
-        for c, (p_lo, p_hi, p_n) in zip(counts, panels)
-    ]
+    def value(active, level):
+        raw = np.einsum("ijk,ij->ik", sums[active], steps[active] / 2**level)
+        return base[active] + 2.0 * np.real((raw + tails[active]) * (1j / (2.0 * math.pi)))
+
     active = np.arange(len(points))
-    prev = value(sums, active, 0)
+    sweep(active, 0)
+    prev = value(active, 0)
     for level in range(1, _MAX_REFINEMENT + 1):
-        # level d halves the spacing: only the odd-indexed samples are new
-        refining = [points[i] for i in active]
-        for i, (c, (p_lo, p_hi, p_n)) in enumerate(zip(counts, panels)):
-            step = (p_hi - p_lo) / (p_n << level)
-            sums[i] += _sample_sums(refining, c[active] << (level - 1), p_lo, step, 1, 2, eps, params, tables)
-        cur = value(sums, active, level)
+        sweep(active, level)
+        cur = value(active, level)
         est = np.max(np.abs(cur - prev), axis=1) / 3.0
         tol = np.maximum(_TOL * np.max(np.abs(cur), axis=1), _ABS_FLOOR)
         for j, i in enumerate(active):
             out[i] = (cur[j] if est[j] <= tol[j] else None, level, float(est[j]))
         keep = est > tol
         active, prev = active[keep], cur[keep]
-        sums = [s[keep] for s in sums]
         if not active.size:
             break
     return out
@@ -401,7 +482,7 @@ def field_modal_integral(t, x, params: WaveguideParams, return_info: bool = Fals
     dict holding the contour height, the point's cutoff (``omega_max``),
     final density, Richardson estimate, the number of integrand samples
     evaluated, the number of doublings made and the number of points that
-    shared the frequency tables (``batch``).  It raises :class:`NoConvergence`
+    shared its inner and middle frequency tables (``batch``).  It raises :class:`NoConvergence`
     when doubling the density never brings the Richardson estimate under
     tolerance.
 
@@ -444,40 +525,38 @@ def _uncoupled_quadrature(t, x, params: WaveguideParams):
 
 
 def _quadrature(ts, xs, params: WaveguideParams, uncoupled=False):
-    """Values and info dicts of the points (ts[i], xs[i]), grouped by grid."""
-    grids = [_panels(ti, xi, params) for ti, xi in zip(ts, xs)]
-    groups: dict = {}
-    for i, (eps, _, panels) in enumerate(grids):
-        groups.setdefault((eps, panels), []).append(i)
-
+    """Values and info dicts of the points (ts[i], xs[i])."""
+    points = list(zip(ts, xs))
+    grids = [_panels(t, x, params) for t, x in points]
+    cuts = [
+        panels[-1][2] if uncoupled else _cutoff(t, x, eps, panels, params)
+        for (t, x), (eps, _, panels) in zip(points, grids)
+    ]
+    results = _integrate_group(points, grids, cuts, params, uncoupled)
+    # the inner and middle panels are set by ppu alone: a point shares both or neither
+    batch = collections.Counter((eps, panels[0]) for eps, _, panels in grids)
     u = np.full((len(ts), 2), np.nan)
-    infos = [None] * len(ts)
-    for (eps, panels), members in groups.items():
-        points = [(ts[i], xs[i]) for i in members]
-        (_, _, n0), (_, _, n) = panels
-        cuts = [n if uncoupled else _cutoff(t, x, eps, panels, params) for t, x in points]
-        results = _integrate_group(points, cuts, eps, panels, params, uncoupled)
-        for i, m, (ui, level, est) in zip(members, cuts, results):
-            ppu = grids[i][1]
-            error = None
-            if ui is None:
-                error = NoConvergence(
-                    f"modal quadrature not converged at t={ts[i]:.6g}, x={xs[i]:.6g} "
-                    f"(density {ppu * 2**level:.0f}/unit)",
-                    achieved=est,
-                )
-            else:
-                u[i] = ui
-            infos[i] = {
-                "epsilon": eps,
-                "omega_max": _truncated(panels[-1], m)[1],
-                "points_per_unit": ppu * 2**level,
-                "richardson": est,
-                "samples": (n0 << level) + 1 + (m << level) + 1,
-                "doublings": level,
-                "batch": len(members),
-                "error": error,
-            }
+    infos = []
+    for i, ((t, x), (eps, ppu, panels), m, (ui, level, est)) in enumerate(zip(points, grids, cuts, results)):
+        error = None
+        if ui is None:
+            error = NoConvergence(
+                f"modal quadrature not converged at t={t:.6g}, x={x:.6g} "
+                f"(density {ppu * 2**level:.0f}/unit)",
+                achieved=est,
+            )
+        else:
+            u[i] = ui
+        infos.append({
+            "epsilon": eps,
+            "omega_max": _truncated(panels[-1], m)[1],
+            "points_per_unit": ppu * 2**level,
+            "richardson": est,
+            "samples": sum((n << level) + 1 for n in (panels[0][2], panels[1][2], m) if n),
+            "doublings": level,
+            "batch": batch[eps, panels[0]],
+            "error": error,
+        })
     return u, infos
 
 

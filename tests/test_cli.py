@@ -24,6 +24,14 @@ def _read(path):
         return fh.read()
 
 
+def _strict_json(text):
+    """json.loads refusing NaN and Infinity, which are not JSON."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_dispersion_csv(tmp_path):
     out = tmp_path / "d.csv"
     rc = main(["dispersion", "--grid", "12x1", "--out", str(out)])
@@ -101,7 +109,7 @@ def test_compare_report_is_json(tmp_path, monkeypatch):
     with contextlib.redirect_stderr(err):
         rc = main(["compare", "--out", str(out)])
     assert rc == 0, err.getvalue()
-    doc = json.loads(_read(out))
+    doc = _strict_json(_read(out))
     assert doc["total"] == 12 and doc["passed"] == 12
     assert [c["id"] for c in doc["criteria"]] == [f"c{i:02d}" for i in range(1, 13)]
     c09 = next(c for c in doc["criteria"] if c["id"] == "c09")
@@ -123,6 +131,33 @@ def test_compare_without_scipy_fails_only_c07(tmp_path, monkeypatch):
     assert doc["total"] == 12 and doc["passed"] == 11
     failed = [(c["id"], c["measure"]) for c in doc["criteria"] if not c["passed"]]
     assert failed == [("c07", "reference library scipy not installed")]
+
+
+@pytest.mark.parametrize("argv", [
+    ["dispersion"],
+    ["zones", "--grid", "6x4", "--t-max", "60"],
+    ["field", "--t-min", "30", "--t-max", "30", "--v-min", "1.0", "--v-max", "2.2", "--grid", "1x2"],
+    ["scalar", "--grid", "6x5", "--t-min", "2", "--t-max", "40"],
+], ids=lambda argv: argv[0])
+def test_json_outputs_are_valid_json(argv, tmp_path):
+    out = tmp_path / "o.json"
+    assert main(argv + ["--format", "json", "--out", str(out)]) == 0
+    doc = _strict_json(_read(out))
+    if argv[0] == "dispersion":
+        # where a branch does not propagate its k or vg is NaN: null, not NaN
+        assert sum(None in row.values() for row in doc["rows"]) == 17
+
+
+def test_field_json_writes_null_for_a_failed_point(tmp_path, monkeypatch):
+    monkeypatch.setattr(oracle, "_TOL", 0.0)
+    monkeypatch.setattr(oracle, "_ABS_FLOOR", 0.0)
+    out = tmp_path / "f.json"
+    rc = main(["field", "--t-min", "30", "--t-max", "30", "--v-min", "1.0", "--v-max", "1.0",
+               "--grid", "1x1", "--format", "json", "--out", str(out)])
+    assert rc == 1
+    (pt,) = _strict_json(_read(out))["points"]
+    assert pt["converged"] is False
+    assert pt["u_oracle"] == [None, None] and pt["u_asym"] == [None, None]
 
 
 def test_dispersion_svg_parses(tmp_path):
@@ -296,6 +331,20 @@ def test_bad_grid_rejected(tmp_path):
             main(["zones", "--grid", "abc", "--out", str(tmp_path / "y.csv")])
     assert exc.value.code == 2
     assert "grid" in err.getvalue()
+
+
+def test_grid_of_no_points_named_in_the_error(tmp_path):
+    msg = _usage_error(["zones", "--grid", "0x5", "--out", str(tmp_path / "z.csv")])
+    assert "grid dimensions must be positive" in msg and "'0x5'" in msg
+
+
+def test_params_file_not_an_object_names_its_type(tmp_path):
+    bad = tmp_path / "list.json"
+    bad.write_text("[2.0, 1.8]")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["zones", "--params", str(bad), "--out", str(tmp_path / "z.csv")]) == 2
+    assert "must hold a JSON object, got list" in err.getvalue()
 
 
 @pytest.mark.parametrize("grid", ["1x9", "12x8", "1x1"])

@@ -35,10 +35,15 @@ def test_return_info_reports_convergence():
 
 
 def _base_intervals(t, x, p):
-    """The oracle's (lo, hi, intervals) of both panels of the point before any
-    doubling, the outer one ending at the point's cutoff."""
+    """The oracle's (lo, hi, intervals) of every panel of the point before any
+    doubling, the last one ending at the point's cutoff."""
     eps, _, panels = oracle._panels(t, x, p)
-    return panels[0], oracle._truncated(panels[-1], oracle._cutoff(t, x, eps, panels, p))
+    return panels[:-1] + (oracle._truncated(panels[-1], oracle._cutoff(t, x, eps, panels, p)),)
+
+
+def _finest(panels, doublings):
+    """Samples of the panels (lo, hi, n) after the doublings; an empty panel has none."""
+    return sum((n << doublings) + 1 for _, _, n in panels if n)
 
 
 def _count_samples(monkeypatch):
@@ -51,14 +56,16 @@ def _count_samples(monkeypatch):
 
 def test_return_info_counts_samples(monkeypatch):
     # nested doubling: one doubling evaluates the finest grid once,
-    # (2 n1 + 1) + (2 n2 + 1) samples; evaluating the base grid and the
-    # doubled grid separately would take (n1 + 1) + (n2 + 1) more
+    # (2 n1 + 1) + (2 n2 + 1) + (2 n3 + 1) samples over the three panels;
+    # evaluating the base grid and the doubled grid separately would take
+    # (n1 + 1) + (n2 + 1) + (n3 + 1) more
     counted = _count_samples(monkeypatch)
     _, info = field_modal_integral(20.0, 24.0, DEFAULT_PARAMS, return_info=True)
-    (_, _, n1), (_, _, n2) = _base_intervals(20.0, 24.0, DEFAULT_PARAMS)
+    (_, _, n1), (_, _, n2), (_, _, n3) = _base_intervals(20.0, 24.0, DEFAULT_PARAMS)
     assert info["doublings"] == 1
     assert info["batch"] == 1
-    assert info["samples"] == (2 * n1 + 1) + (2 * n2 + 1)
+    assert min(n1, n2, n3) > 0
+    assert info["samples"] == (2 * n1 + 1) + (2 * n2 + 1) + (2 * n3 + 1)
     assert sum(counted) == info["samples"]
 
 
@@ -77,6 +84,8 @@ def _one_shot(t, x, p, doublings, full=False):
         panels = _base_intervals(t, x, p)
     raw = oracle._tail_correction(panels[-1][1] + 1j * eps, t, x, p)
     for lo, hi, n in panels:
+        if not n:
+            continue
         n <<= doublings
         h = (hi - lo) / n
         for j0 in range(0, n + 1, 1 << 16):
@@ -138,7 +147,7 @@ def test_cutoff_grows_towards_a_front_and_stops_at_w_max():
     w_max = oracle._panels(60.0, 60.0, DEFAULT_PARAMS)[2][-1][1]
     cutoff = lambda t, x: _base_intervals(t, x, DEFAULT_PARAMS)[-1][1]
     assert cutoff(60.0, 60.0) < w_max / 8
-    # (the rungs are rounded up to nodes of each point's grid: to 1/ppu)
+    # (the rungs are rounded up to nodes of each point's far panel)
     front = [round(cutoff(t, 1.8125 * t), 2) for t in (220.0, 144.0, 106.0, 68.0, 30.0)]
     assert front == sorted(front) and front[0] < front[-1] == round(w_max, 2)
     assert cutoff(50.0, 100.05) == w_max
@@ -147,7 +156,7 @@ def test_cutoff_grows_towards_a_front_and_stops_at_w_max():
 @pytest.mark.parametrize("t, x", [(20.0, 24.0), (60.0, 60.0), (60.0, 108.6), (40.0, 78.0)])
 def test_truncation_at_the_cutoff_within_the_tail_bound(t, x):
     # the cutoff's promise: the same trapezoid run on to w_max moves the value
-    # by less than the bound on the tail estimate (5.4e-9, 6.6e-9, 3.3e-9 and
+    # by less than the bound on the tail estimate (5.2e-9, 7.0e-9, 3.3e-9 and
     # 4.3e-10 measured at cutoffs 45, 23, 181 and 128)
     d = field_modal_integral(t, x, DEFAULT_PARAMS, return_info=True)[1]["doublings"]
     short, full = _one_shot(t, x, DEFAULT_PARAMS, d), _one_shot(t, x, DEFAULT_PARAMS, d, full=True)
@@ -165,12 +174,14 @@ def test_interior_points_refine_to_4800_per_unit_at_least():
 
 
 def test_field_grid_falls_on_few_quadrature_grids():
-    # the density and silent eps ladders let the 6x5 field grid share tables
+    # the density and silent eps ladders let the 6x5 field grid share its
+    # inner and middle tables, the sets that hold most of its table samples
+    # (each far density adds only a small table)
     grids = set()
     for t in np.linspace(30.0, 220.0, 6):
         for V in np.linspace(0.65, 2.2, 5):
             eps, _, panels = oracle._panels(t, V * t, DEFAULT_PARAMS)
-            grids.add((eps, panels))
+            grids.add((eps, panels[:-1]))
     assert len(grids) <= 10
 
 
@@ -186,6 +197,43 @@ def test_field_grid_window_takes_at_most_1_3_million_samples():
     assert sum(row["samples"] for row in info) <= 1_300_000
 
 
+def test_front_column_samples_its_tail_at_its_phase_rate():
+    # the window's V = 1.8125 column, just beyond the c2 front, has cutoffs up
+    # to w_max, but above W its roots' phase rates are small: its far panels
+    # are coarse (224,452 samples measured; 615,702 at one density throughout)
+    t = np.linspace(30.0, 220.0, 6)
+    _, info = field_modal_integral(t, 1.8125 * t, DEFAULT_PARAMS, return_info=True)
+    assert all(row["error"] is None for row in info)
+    assert sum(row["samples"] for row in info) <= 250_000
+
+
+#: parameter sets on which the far panel's rate bound is checked; the last
+#: three pass validate with an UnsupportedRegime warning (v_fast >= c2), which
+#: concerns the zone classification, not the oracle
+FAR_BOUND = [
+    _mu(0.05), _mu(0.5), _mu(1.0), _mu(1.2),
+    WaveguideParams(c1=2.0, c2=1.0, omega1=3.0, omega2=3.5, mu=0.5),
+    WaveguideParams(c1=3.0, c2=1.0, omega1=3.0, omega2=3.5, mu=2.0),
+    WaveguideParams(c1=2.0, c2=1.8, omega1=3.0, omega2=6.0, mu=5.0),
+]
+
+
+@pytest.mark.parametrize("p", FAR_BOUND, ids=[f"c{p.c1}-{p.c2}-w{p.omega2}-mu{p.mu}" for p in FAR_BOUND])
+def test_tables_slopes_fall_from_w_to_speed_limit(p):
+    # the far panel's density rests on every root of the tables having
+    # dk/domega non-increasing on [W, w_max], between 1/c_r and its value at
+    # W: then |x dk/domega - t| is at most R, the larger of its values at the ends
+    _, W, w_max, slopes = oracle._frame(p)
+    omega = np.geomspace(W, w_max, 4000)
+    rates = [np.real(oracle.derivatives_at(omega, k, p).kp) for k, _ in oracle._coupled_roots(omega, p)]
+    rates += [np.real(oracle._uncoupled_root(omega, j, p)[2]) for j in oracle._forced(p)]
+    assert len(rates) == len(slopes) // 2
+    for kp, (limit, at_w) in zip(rates, zip(slopes[::2], slopes[1::2])):
+        assert np.all(np.diff(kp) <= 1e-15)
+        assert kp[0] == pytest.approx(at_w, rel=1e-12)
+        assert np.all(kp >= limit * (1.0 - 1e-12)) and np.all(kp <= at_w * (1.0 + 1e-12))
+
+
 def test_unmet_tolerance_raises_after_every_doubling(monkeypatch):
     monkeypatch.setattr(oracle, "_TOL", 0.0)
     monkeypatch.setattr(oracle, "_ABS_FLOOR", 0.0)
@@ -194,7 +242,7 @@ def test_unmet_tolerance_raises_after_every_doubling(monkeypatch):
         field_modal_integral(20.0, 24.0, DEFAULT_PARAMS)
     assert math.isfinite(err.value.achieved) and err.value.achieved > 0.0
     d = oracle._MAX_REFINEMENT
-    assert sum(counted) == sum((n << d) + 1 for _, _, n in _base_intervals(20.0, 24.0, DEFAULT_PARAMS))
+    assert sum(counted) == _finest(_base_intervals(20.0, 24.0, DEFAULT_PARAMS), d)
 
 
 #: floor-density interior points on one quadrature grid, above-floor interior
@@ -214,14 +262,16 @@ def test_array_call_matches_scalar_calls(monkeypatch):
     monkeypatch.setattr(oracle, "_modal_sum", lambda tb, w, *a: kernel.append(w.size) or modal_sum(tb, w, *a))
     u, info = field_modal_integral(*_columns(MIXED), DEFAULT_PARAMS, return_info=True)
     assert u.shape == (len(MIXED), 2) and u.dtype.kind == "f"
-    # the three floor-density interior points share one grid, and so do
-    # (30, 66) and (-2, 2) (eps 10 at the floor density): one set of tables
-    # per grid, while every point evaluates its integrand on all its samples
+    # the three floor-density interior points share their inner and middle
+    # panels, and so do (30, 66) and (-2, 2) (eps 10 at the floor density):
+    # one table per (eps, panel), far panels included, while every point
+    # evaluates its integrand on all its samples
     assert [i["batch"] for i in info] == [3, 3, 3, 1, 1, 2, 1, 1, 2]
     grids = {}
     for (t, x), row in zip(MIXED, info):
         eps, _, panels = oracle._panels(t, x, DEFAULT_PARAMS)
-        grids[eps, panels] = max(grids.get((eps, panels), 0), row["samples"])
+        for key, cut in zip(enumerate(panels), _base_intervals(t, x, DEFAULT_PARAMS)):
+            grids[eps, key] = max(grids.get((eps, key), 0), _finest([cut], row["doublings"]))
     assert sum(tables) == sum(grids.values())
     assert sum(kernel) == sum(i["samples"] for i in info)
     singles = [field_modal_integral(t, x, DEFAULT_PARAMS, return_info=True) for t, x in MIXED]
@@ -234,13 +284,13 @@ def test_array_call_matches_scalar_calls(monkeypatch):
 
 def test_points_of_one_grid_stop_at_their_own_level(monkeypatch):
     # with the absolute floor alone, these floor-density points first meet it
-    # after 2, 3 and 4 doublings (Richardson estimates of 1.4e-8, 1.2e-7 and
-    # 1.6e-7 at the first doubling, then 2.8e-11, 1.8e-10 and 9.7e-10 at the
-    # second, falling about 4x per doubling after it): each keeps its own stopping
-    # level, and its own cutoff (16760, 11149 and 4375 base intervals)
+    # after 2, 3 and 4 doublings (Richardson estimates of 5.2e-10, 3.6e-10
+    # and 2.5e-10 at their last): they share the inner and middle tables, and
+    # each keeps its own stopping level, far panel and cutoff (node 775 of
+    # 4366, 599 of 6175 and 548 of 3087)
     monkeypatch.setattr(oracle, "_TOL", 0.0)
-    monkeypatch.setattr(oracle, "_ABS_FLOOR", 1e-10)
-    points = [(15.0, 20.0), (20.0, 24.0), (60.0, 60.0)]
+    monkeypatch.setattr(oracle, "_ABS_FLOOR", 1e-9)
+    points = [(15.0, 20.0), (20.0, 24.0), (5.0, 2.0)]
     u, info = field_modal_integral(*_columns(points), DEFAULT_PARAMS, return_info=True)
     assert [i["doublings"] for i in info] == [2, 3, 4]
     assert [i["batch"] for i in info] == [3, 3, 3]

@@ -54,19 +54,13 @@ no reach: the finest grid is 9600/unit at the floor and 24 samples per unit
 of phase rate above it, so :class:`NoConvergence` means that density did
 not suffice.  A silent point starts at a flat 75/unit, because its accuracy
 comes from e^{-eps * slack}, not from the grid.  The inner panel takes 4x
-that density, the middle panel that density.  Above W the integrand is far
-from every branch point and oscillates only at its roots' phase rates
-|x dk/domega - t|, and there dk/domega falls monotonically from its value at
-W to 1/c_r; so R, the largest of those rates at W and as omega -> inf,
-bounds them all, and the far panel starts at :data:`_FAR_PER_RATE` = 3
-samples per unit of R, at least :data:`_FAR_FLOOR` = 8, capped at the
-point's density.  The factor is not lower because the trapezoid error at
-the junction W, (h_mid^2 - h_far^2) f'(W) / 12, is O(h^2): at 0.75 R the
-default window's point (381.6, 660.4) reads 0.54 of the tolerance off a
-4x-denser trapezoid, and 0.20 at 3 R.  The interior density and
-both contour heights sit on sqrt(2) ladders, so that nearby points share a
-grid: the interior eps is the largest rung 1e-3 * 2^(-j/2), j >= 0, not
-above 0.25/t, and the silent eps is rounded up to a power of sqrt(2).
+that density, the middle panel that density, and the far panel a density
+set by the bound on its phase rates (:func:`_frame`); the far panel's
+ends, where the spacing jumps, carry an Euler-Maclaurin correction.  The
+interior density and both contour heights sit on sqrt(2) ladders, so that
+nearby points share a grid: the interior eps is the largest rung
+1e-3 * 2^(-j/2), j >= 0, not above 0.25/t, and the silent eps is rounded
+up to a power of sqrt(2).
 
 Most of a sample's cost depends on omega alone: the roots k and their
 weights.  :func:`field_modal_integral` therefore takes arrays of (t, x) as
@@ -161,27 +155,37 @@ def _rungs(w_split: float, w_max: float) -> np.ndarray:
     return w_max * 2.0 ** (-0.5 * np.arange(1 + max(0, math.floor(2.0 * math.log2(w_max / (2.0 * w_split))))))
 
 
+#: nodes, geometric on [W, w_max], at which :func:`_frame` samples the slopes
+_SLOPE_NODES = 64
+
+
 @functools.lru_cache(maxsize=64)
 def _frame(params: WaveguideParams):
     """(w_split, W, w_max, slopes) of the parameter set: the panel ends, and
-    dk/domega at both ends of [W, inf) of every root in :func:`_tables`.
+    the least and the largest dk/domega of the roots of :func:`_tables` on
+    the far panel [W, w_max].
 
-    On [W, inf) each root's dk/domega falls monotonically from its value at
-    W to 1/c_r, the coupled roots pairing with the layers by the order of k^2
-    as in :func:`_tail_remainder`; slopes holds both ends of every root.
-    Cached per parameter set, as :func:`crossing_point` is.
+    The far panel lies well above every branch point, where the integrand
+    oscillates only at its roots' phase rates |x dk/domega - t|.  That is
+    convex in dk/domega, so R, the larger of |x s - t| at the two slopes s,
+    bounds every rate on the panel, and the far panel's density is set by R
+    (:func:`_panels`).  The slopes are taken over :data:`_SLOPE_NODES` nodes
+    and the limits 1/c_j, so they do not rest on dk/domega being monotone;
+    on the tested parameter sets it is, falling from W to 1/c_j, and the
+    slopes are its values at W and 1/c_j.  Cached per parameter set, as
+    :func:`crossing_point` is.
     """
     cp = crossing_point(params)
     w_split = max(8.0, 1.2 * cp.omega_c)
     w_max = max(50.0 * cp.omega_c, w_split + 20.0)
     W = float(_rungs(w_split, w_max)[-1])
-    slopes = []
-    for (k, _), (c, _, _) in zip(_coupled_roots(W, params), _layers(params)):
-        slopes += [1.0 / c, float(np.real(derivatives_at(W, k, params).kp))]
+    omega = np.geomspace(W, w_max, _SLOPE_NODES)
+    slopes = [1.0 / c for c, _, _ in _layers(params)]
+    for k, _ in _coupled_roots(omega, params):
+        slopes += np.real(derivatives_at(omega, k, params).kp).tolist()
     for j in _forced(params):
-        c = _layers(params)[j][0]
-        slopes += [1.0 / c, float(np.real(_uncoupled_root(W, j, params)[2]))]
-    return w_split, W, w_max, tuple(slopes)
+        slopes += np.real(_uncoupled_root(omega, j, params)[2]).tolist()
+    return w_split, W, w_max, (min(slopes), max(slopes))
 
 
 def _panels(t: float, x: float, params: WaveguideParams):
@@ -203,12 +207,12 @@ def _panels(t: float, x: float, params: WaveguideParams):
     A silent point starts at a flat 75/unit: its large eps makes its value
     e^{-eps * slack} small whatever the grid.
 
-    Above W the integrand is far from every branch point and oscillates at
-    the phase rates |x dk/domega - t| of its roots, which the slopes of
-    :func:`_frame` bound by R = the largest |x s - t|.  So the far panel
-    needs only :data:`_FAR_PER_RATE` samples per unit of R, at least
-    :data:`_FAR_FLOOR`, rounded up to the ladder 300 * 2^(j/2) and capped at
-    ppu.
+    The far panel takes :data:`_FAR_PER_RATE` samples per unit of R, the
+    bound of :func:`_frame` on its phase rates, at least :data:`_FAR_FLOOR`,
+    rounded up to the ladder 300 * 2^(j/2) and capped at ppu.  The factor
+    leaves room for the trapezoid error at W, where the spacing jumps; the
+    Euler-Maclaurin correction of :func:`_integrate_group` removes its
+    leading h^2 term.
     """
     w_split, W, w_max, slopes = _frame(params)
     eps = _auto_epsilon(t, x, params.c1)
@@ -258,19 +262,25 @@ def _coupled_roots(omega, params: WaveguideParams):
     return out
 
 
-def _tables(omega, params: WaveguideParams):
-    """(i k, weight) per root at the sample frequencies omega: the coupled
-    roots, then the forced layers' uncoupled roots with their weights negated."""
-    out = [(1j * k, h) for k, h in _coupled_roots(omega, params)]
+def _roots(omega, params: WaveguideParams, uncoupled=False):
+    """(i k, weight) per root at the frequencies omega: the coupled roots, then
+    the forced layers' uncoupled roots with their weights negated, or with
+    uncoupled the uncoupled roots alone, not negated."""
+    out = [] if uncoupled else [(1j * k, h) for k, h in _coupled_roots(omega, params)]
     for j in _forced(params):
         k, h, _ = _uncoupled_root(omega, j, params)
-        out.append((1j * k, -h))
+        out.append((1j * k, h if uncoupled else -h))
     return out
 
 
+def _tables(omega, params: WaveguideParams):
+    """The trapezoid's sample tables of :func:`_roots` at omega."""
+    return _roots(omega, params)
+
+
 def _uncoupled_tables(omega, params: WaveguideParams):
-    """(i k, weight) of the forced layers' uncoupled roots alone, not negated."""
-    return [(1j * k, h) for k, h, _ in (_uncoupled_root(omega, j, params) for j in _forced(params))]
+    """The sample tables of the mu = 0 integrand alone."""
+    return _roots(omega, params, uncoupled=True)
 
 
 def _modal_sum(tables, iomega, x, t, halve=()):
@@ -349,6 +359,29 @@ def _tail_remainder(omega, t, x, params: WaveguideParams):
     return total / math.pi
 
 
+def _end_slopes(W, L, t, x, params: WaveguideParams, uncoupled=False):
+    """d/domega of the points' integrand (that of :func:`_roots`) at the far
+    panel's ends W and L, frequencies on the contour; W, L, t and x are
+    scalars or equal-shape arrays, and the result has their shape plus
+    (2, 2): an end, then a component.
+
+    The roots' k and weights vary slowly there, far above every branch
+    point, so they are differenced centrally over a relative step of 1e-5;
+    the phase e^{i (k x - omega t)} is differentiated exactly.
+    """
+    ends = np.stack(np.broadcast_arrays(W, L), axis=-1)
+    step = 1e-5 * ends.real
+    omega = ends[..., None] + step[..., None] * np.array([-1.0, 0.0, 1.0])
+    t, x = np.asarray(t)[..., None], np.asarray(x)[..., None]
+    slope = 0.0
+    for ik, h in _roots(omega.reshape(-1), params, uncoupled):
+        ik, h = ik.reshape(omega.shape), h.reshape((2,) + omega.shape)
+        dik = (ik[..., 2] - ik[..., 0]) / (2.0 * step)
+        dh = (h[..., 2] - h[..., 0]) / (2.0 * step)
+        slope = slope + (dh + h[..., 1] * (dik * x - 1j * t)) * np.exp(ik[..., 1] * x - 1j * ends * t)
+    return np.moveaxis(slope, 0, -1)
+
+
 def _cutoff(t: float, x: float, eps: float, panels, params: WaveguideParams) -> int:
     """The point's base interval count on the far panel: its cutoff.
 
@@ -408,12 +441,18 @@ def _integrate_group(points, grids, cuts, params, uncoupled=False):
     its base interval count on the far panel.  The frequency tables are
     shared per (eps, panel): every point with that contour height and panel
     adds its sums from the same blocks.  Each point keeps its own cutoff,
-    tail, Richardson test and stopping level.  The integrand is the coupled
+    tail, Richardson test and stopping level, and its own Euler-Maclaurin
+    correction at the far panel's ends W and L: the trapezoid of spacing h
+    on [a, b] overshoots by h^2 (f'(b) - f'(a)) / 12, which does not cancel
+    at W, where h jumps, and is large at L, where h is coarse; with it the
+    far panel converges like the middle one.  The integrand is the coupled
     one minus the mu = 0 one, with the closed form added back, or with
     uncoupled the mu = 0 integrand alone.  Returns per point
     (u, doublings, Richardson estimate), with u None when tolerance is never met.
     """
     ends = [_truncated(panels[-1], m)[1] + 1j * eps for (eps, _, panels), m in zip(grids, cuts)]
+    starts = [panels[-1][0] + 1j * eps for eps, _, panels in grids]
+    slopes = _end_slopes(np.array(starts), np.array(ends), *np.array(points).T, params, uncoupled)
     if uncoupled:
         tables = _uncoupled_tables
         tails = np.array([_uncoupled_tail(w, t, x, params) for w, (t, x) in zip(ends, points)])
@@ -451,7 +490,11 @@ def _integrate_group(points, grids, cuts, params, uncoupled=False):
                 sums[rows, p] += _sample_sums(at, c << (level - 1), lo, step, 1, 2, eps, params, tables)
 
     def value(active, level):
-        raw = np.einsum("ijk,ij->ik", sums[active], steps[active] / 2**level)
+        h = steps[active] / 2**level
+        raw = np.einsum("ijk,ij->ik", sums[active], h)
+        # the Euler-Maclaurin terms at W and L
+        hm, hf = h[:, 1, None] ** 2, h[:, 2, None] ** 2
+        raw -= (hm * slopes[active, 0] + hf * (slopes[active, 1] - slopes[active, 0])) / 12.0
         return base[active] + 2.0 * np.real((raw + tails[active]) * (1j / (2.0 * math.pi)))
 
     active = np.arange(len(points))

@@ -76,13 +76,19 @@ def _integrand(omega, t, x, p):
 
 
 def _one_shot(t, x, p, doublings, full=False):
-    """Plain trapezoid of the difference integrand on the point's grid up to
-    its cutoff (with full, up to w_max) after the given number of doublings,
-    with the oracle's eps and tail, plus the mu = 0 closed form."""
+    """Trapezoid of the difference integrand on the point's grid up to its
+    cutoff (with full, up to w_max) after the given number of doublings,
+    with the oracle's eps, tail and end correction at the far panel's ends,
+    plus the mu = 0 closed form."""
     eps, _, panels = oracle._panels(t, x, p)
     if not full:
         panels = _base_intervals(t, x, p)
-    raw = oracle._tail_correction(panels[-1][1] + 1j * eps, t, x, p)
+    (mid_lo, W, n_mid), (_, L, n_far) = panels[1:]
+    raw = oracle._tail_correction(L + 1j * eps, t, x, p)
+    slope_w, slope_l = oracle._end_slopes(W + 1j * eps, L + 1j * eps, t, x, p)
+    h_mid = (W - mid_lo) / (n_mid << doublings)
+    h_far = (L - W) / (n_far << doublings) if n_far else 0.0
+    raw = raw - (h_mid**2 * slope_w + h_far**2 * (slope_l - slope_w)) / 12.0
     for lo, hi, n in panels:
         if not n:
             continue
@@ -156,8 +162,8 @@ def test_cutoff_grows_towards_a_front_and_stops_at_w_max():
 @pytest.mark.parametrize("t, x", [(20.0, 24.0), (60.0, 60.0), (60.0, 108.6), (40.0, 78.0)])
 def test_truncation_at_the_cutoff_within_the_tail_bound(t, x):
     # the cutoff's promise: the same trapezoid run on to w_max moves the value
-    # by less than the bound on the tail estimate (5.2e-9, 7.0e-9, 3.3e-9 and
-    # 4.3e-10 measured at cutoffs 45, 23, 181 and 128)
+    # by less than the bound on the tail estimate (5.5e-9, 6.7e-9, 3.3e-9 and
+    # 4.7e-10 measured at cutoffs 45, 23, 181 and 128)
     d = field_modal_integral(t, x, DEFAULT_PARAMS, return_info=True)[1]["doublings"]
     short, full = _one_shot(t, x, DEFAULT_PARAMS, d), _one_shot(t, x, DEFAULT_PARAMS, d, full=True)
     assert np.max(np.abs(short - full)) <= oracle._TAIL_BOUND
@@ -220,18 +226,20 @@ FAR_BOUND = [
 
 @pytest.mark.parametrize("p", FAR_BOUND, ids=[f"c{p.c1}-{p.c2}-w{p.omega2}-mu{p.mu}" for p in FAR_BOUND])
 def test_tables_slopes_fall_from_w_to_speed_limit(p):
-    # the far panel's density rests on every root of the tables having
-    # dk/domega non-increasing on [W, w_max], between 1/c_r and its value at
-    # W: then |x dk/domega - t| is at most R, the larger of its values at the ends
-    _, W, w_max, slopes = oracle._frame(p)
+    # every root of the tables has dk/domega non-increasing on [W, w_max],
+    # between 1/c_r and its value at W, and the slopes _frame samples hold it
+    # on a 4000-node sample: so |x dk/domega - t| is at most R there
+    _, W, w_max, (lo, hi) = oracle._frame(p)
     omega = np.geomspace(W, w_max, 4000)
-    rates = [np.real(oracle.derivatives_at(omega, k, p).kp) for k, _ in oracle._coupled_roots(omega, p)]
-    rates += [np.real(oracle._uncoupled_root(omega, j, p)[2]) for j in oracle._forced(p)]
-    assert len(rates) == len(slopes) // 2
-    for kp, (limit, at_w) in zip(rates, zip(slopes[::2], slopes[1::2])):
+    layers = oracle._layers(p)
+    roots = [(np.real(oracle.derivatives_at(omega, k, p).kp), c) for (k, _), (c, _, _) in zip(oracle._coupled_roots(omega, p), layers)]
+    roots += [(np.real(oracle._uncoupled_root(omega, j, p)[2]), layers[j][0]) for j in oracle._forced(p)]
+    for kp, c in roots:
         assert np.all(np.diff(kp) <= 1e-15)
-        assert kp[0] == pytest.approx(at_w, rel=1e-12)
-        assert np.all(kp >= limit * (1.0 - 1e-12)) and np.all(kp <= at_w * (1.0 + 1e-12))
+        assert np.all(kp >= (1.0 - 1e-12) / c)
+        assert lo <= kp.min() and kp.max() <= hi
+    assert lo == min(1.0 / c for c, _, _ in layers)
+    assert hi == pytest.approx(max(kp[0] for kp, _ in roots), rel=1e-12)
 
 
 def test_unmet_tolerance_raises_after_every_doubling(monkeypatch):
@@ -284,13 +292,13 @@ def test_array_call_matches_scalar_calls(monkeypatch):
 
 def test_points_of_one_grid_stop_at_their_own_level(monkeypatch):
     # with the absolute floor alone, these floor-density points first meet it
-    # after 2, 3 and 4 doublings (Richardson estimates of 5.2e-10, 3.6e-10
-    # and 2.5e-10 at their last): they share the inner and middle tables, and
-    # each keeps its own stopping level, far panel and cutoff (node 775 of
-    # 4366, 599 of 6175 and 548 of 3087)
+    # after 2, 3 and 4 doublings (Richardson estimates of 1.4e-8, 1.2e-7 and
+    # 1.5e-7 at the first doubling, then 2.8e-11, 1.8e-10 and 9.9e-10 at the
+    # second, falling about 4x per doubling after it): they share the inner
+    # and middle tables, and each keeps its own stopping level and cutoff
     monkeypatch.setattr(oracle, "_TOL", 0.0)
-    monkeypatch.setattr(oracle, "_ABS_FLOOR", 1e-9)
-    points = [(15.0, 20.0), (20.0, 24.0), (5.0, 2.0)]
+    monkeypatch.setattr(oracle, "_ABS_FLOOR", 1e-10)
+    points = [(15.0, 20.0), (20.0, 24.0), (60.0, 60.0)]
     u, info = field_modal_integral(*_columns(points), DEFAULT_PARAMS, return_info=True)
     assert [i["doublings"] for i in info] == [2, 3, 4]
     assert [i["batch"] for i in info] == [3, 3, 3]

@@ -168,12 +168,11 @@ def _frame(params: WaveguideParams):
     The far panel lies well above every branch point, where the integrand
     oscillates only at its roots' phase rates |x dk/domega - t|.  That is
     convex in dk/domega, so R, the larger of |x s - t| at the two slopes s,
-    bounds every rate on the panel, and the far panel's density is set by R
-    (:func:`_panels`).  The slopes are taken over :data:`_SLOPE_NODES` nodes
-    and the limits 1/c_j, so they do not rest on dk/domega being monotone;
-    on the tested parameter sets it is, falling from W to 1/c_j, and the
-    slopes are its values at W and 1/c_j.  Cached per parameter set, as
-    :func:`crossing_point` is.
+    bounds every rate on the panel, and :func:`_panels` sets the far density
+    from R.  The slopes are the extremes over :data:`_SLOPE_NODES` nodes and
+    the limits 1/c_j, not an assumed monotone fall from W to 1/c_j (which
+    holds on the parameter sets of the tests, where they are its values at
+    W and 1/c_j).  Cached per parameter set, as :func:`crossing_point` is.
     """
     cp = crossing_point(params)
     w_split = max(8.0, 1.2 * cp.omega_c)
@@ -191,12 +190,10 @@ def _frame(params: WaveguideParams):
 def _panels(t: float, x: float, params: WaveguideParams):
     """Quadrature grid of the point (t, x): (eps, ppu, panels).
 
-    panels holds three panels, each (lo, hi, base interval count): the inner
-    [0, w_split] at 4 ppu, the middle [w_split, W] at ppu, and the far
-    [W, w_max] at ppu_far.  W is the lowest rung of the cutoff ladder
-    (:func:`_rungs`) and w_max its top, so every point's cutoff lies in the
-    far panel, and is rounded to one of its nodes.  Points with equal eps
-    and an equal panel sample the same frequencies on it at every level.
+    panels holds the three panels of the module docstring, each (lo, hi,
+    base interval count): the inner at 4 ppu, the middle at ppu and the far
+    at ppu_far.  Points with equal eps and an equal panel sample the same
+    frequencies on it at every level.
 
     The base grid is deliberately coarse and the Richardson test decides how
     far to refine.  An interior point starts at 0.75 samples per unit of its
@@ -207,12 +204,9 @@ def _panels(t: float, x: float, params: WaveguideParams):
     A silent point starts at a flat 75/unit: its large eps makes its value
     e^{-eps * slack} small whatever the grid.
 
-    The far panel takes :data:`_FAR_PER_RATE` samples per unit of R, the
-    bound of :func:`_frame` on its phase rates, at least :data:`_FAR_FLOOR`,
-    rounded up to the ladder 300 * 2^(j/2) and capped at ppu.  The factor
-    leaves room for the trapezoid error at W, where the spacing jumps; the
-    Euler-Maclaurin correction of :func:`_integrate_group` removes its
-    leading h^2 term.
+    ppu_far is :data:`_FAR_PER_RATE` samples per unit of the bound R of
+    :func:`_frame`, at least :data:`_FAR_FLOOR`, rounded up to the ladder
+    300 * 2^(j/2) and capped at ppu.
     """
     w_split, W, w_max, slopes = _frame(params)
     eps = _auto_epsilon(t, x, params.c1)

@@ -188,8 +188,9 @@ def cmd_field(args: argparse.Namespace, params: WaveguideParams) -> int:
     fvs = [_assembled(t, V, params, args.S) for t, V in points]
     # the points the assembly did not evaluate by quadrature go to the oracle
     # in one call, so points on the same quadrature grid share its frequency
-    # tables
-    need = [i for i, fv in enumerate(fvs) if fv is not None and not fv.used_oracle]
+    # tables; column by column (V, then t), so that the points of a grid come
+    # equally spaced along a ray and the oracle chains their phase factors
+    need = sorted((i for i, fv in enumerate(fvs) if fv is not None and not fv.used_oracle), key=lambda i: i % nv)
     u = [None if fv is None else fv.u for fv in fvs]
     if need:
         t = np.array([points[i][0] for i in need])

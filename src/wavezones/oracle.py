@@ -68,13 +68,23 @@ well, and shares the frequency tables per contour height eps and panel,
 both set per point by :func:`_panels`: points of one interior density share
 their inner and middle tables, and each far density has its own small
 table.  Each point takes the far panel's samples up to its own cutoff, a
-node of that panel (:func:`_cutoff`); a point whose cutoff is W takes none.
+node of that panel (:func:`_cutoffs`); a point whose cutoff is W takes none.
 The call walks the nested doublings once, and each table block by block: a
 block's omega tables are computed once, up to the largest count still
-needed, then every point still refining adds only its own
-e^{i (k x - omega t)} sums.  Each point keeps its own cutoff, tail
-correction, Richardson test and stopping level, so its value does not
-depend on which points share its tables; a scalar call is a call of one.
+needed.  What is left per point is its phase factor, one complex
+exponential per root and sample, and points on a line share it: if
+(t_p, x_p) = (t_0, x_0) + p (dt, dx), then e^{i phi_p} = e^{i phi_0} step^p
+with step = e^{i (k dx - omega dt)}.  So the points of each table are split
+into runs (:func:`_runs`), at least 3 consecutive points equally spaced to
+within rounding, and per root and block a run costs two exponentials, the
+anchor and the step; each further point costs one complex multiply per
+sample, with the weight carried along (g = h e^{i phi_0}, then g *= step,
+:func:`_chain`).  A run chains from its smallest x, so that on evanescent
+samples the step shrinks rather than overflows, and where a step is still
+not finite its points take their own exponentials.  Every other point is a
+run of one.  Each point keeps its own cutoff, tail correction, Richardson
+test and stopping level, so which points share its tables moves its value
+by rounding only; a scalar call is a call of one.
 
 The module also carries the scalar one-layer references and the direct loop
 quadrature of the exchange-pulse integral, used as oracles in the tests.
@@ -272,30 +282,6 @@ def _tables(omega, params: WaveguideParams):
     return _roots(omega, params)
 
 
-def _uncoupled_tables(omega, params: WaveguideParams):
-    """The sample tables of the mu = 0 integrand alone."""
-    return _roots(omega, params, uncoupled=True)
-
-
-def _modal_sum(tables, iomega, x, t, halve=()):
-    """Sum over samples and roots of weight * e^{i (k x - omega t)}, shape (2,).
-
-    tables are those of :func:`_tables` at omega, and iomega = i omega; the
-    samples at the positions in halve (0 and -1: the trapezoid's ends) count half.
-    """
-    iwt = iomega * t
-    total = 0.0
-    for ik, h in tables:
-        arg = np.multiply(ik, x)
-        arg -= iwt
-        terms = np.exp(arg, out=arg)
-        for j in halve:
-            terms[j] *= 0.5
-        # einsum, not BLAS: the same sum whatever the batch or thread count
-        total = total + np.einsum("ij,j->i", h, terms)
-    return total
-
-
 def _one_term_tail(k, h, rate, w_end, t, x):
     """i h e^{i (k x - w t)} / rate at the cutoff w_end: the leading
     integration-by-parts tail of one root's integrand beyond it, 0 where its
@@ -376,20 +362,24 @@ def _end_slopes(W, L, t, x, params: WaveguideParams, uncoupled=False):
     return np.moveaxis(slope, 0, -1)
 
 
-def _cutoff(t: float, x: float, eps: float, panels, params: WaveguideParams) -> int:
-    """The point's base interval count on the far panel: its cutoff.
+def _cutoffs(points, grids, params: WaveguideParams) -> np.ndarray:
+    """Each point's base interval count on its far panel: its cutoff.
 
     The cutoff is the lowest rung of :func:`_rungs` at and above which
     :func:`_tail_remainder` stays under :data:`_TAIL_BOUND`, or w_max where
     no rung qualifies; it is then rounded up to a node of the far panel's
     base grid, so that it is a node at every level.  A cutoff at W, the
-    far panel's start, is node 0: the point takes no far sample.
+    far panel's start, is node 0: the point takes no far sample.  One
+    broadcast call evaluates every point's rungs.
     """
-    (_, w_split, _), _, (W, w_max, n) = panels
+    (_, w_split, _), _, (W, w_max, _) = grids[0][2]
     rungs = _rungs(w_split, w_max)
-    ok = np.logical_and.accumulate(_tail_remainder(rungs + 1j * eps, t, x, params) <= _TAIL_BOUND)
-    L = float(rungs[ok][-1]) if ok[0] else w_max
-    return min(n, math.ceil((L - W) / (w_max - W) * n))
+    eps, n = np.array([(eps, panels[-1][2]) for eps, _, panels in grids]).T
+    t, x = np.array(points).T[..., None]
+    below = _tail_remainder(rungs + 1j * eps[:, None], t, x, params) <= _TAIL_BOUND
+    ok = np.logical_and.accumulate(below, axis=1)
+    L = np.where(ok[:, 0], rungs[ok.sum(axis=1) - 1], w_max)
+    return np.minimum(n, np.ceil((L - W) / (w_max - W) * n)).astype(int)
 
 
 def _truncated(panel, m: int):
@@ -398,15 +388,64 @@ def _truncated(panel, m: int):
     return lo, lo + (hi - lo) * (m / n), m
 
 
+def _runs(points):
+    """The points, in call order, as runs (lists of indices): at least 3
+    consecutive points on an equally spaced line in (t, x), each within a
+    few ulps of max(|t|, |x|), from the smallest x (at equal x, the largest
+    t); every other point is a run of one."""
+    runs, i, n = [], 0, len(points)
+    while i < n:
+        (t0, x0), j = points[i], i + 1
+        while j + 1 < n:
+            (t1, x1), (t, x), r = points[j], points[j + 1], (j + 1 - i) / (j - i)
+            if max(abs(t0 + (t1 - t0) * r - t), abs(x0 + (x1 - x0) * r - x)) > 8e-16 * max(abs(t), abs(x)):
+                break
+            j += 1
+        run = list(range(i, j + 1)) if j - i >= 2 else [i]
+        (ta, xa), (tb, xb) = points[run[0]], points[run[-1]]
+        runs.append(run if (xa, -ta) <= (xb, -tb) else run[::-1])
+        i = run[-1] + 1
+    return runs
+
+
+def _chain(tables, iomega, run, ms, ends):
+    """Per point (t, x) of a run of :func:`_runs`, the sum over roots and its
+    first ms[p] samples of weight * e^{i (k x - omega t)}, the samples at the
+    positions ends[p] at half weight; shape (len(run), 2).  tables are those
+    of :func:`_tables` at omega, and iomega = i omega.  The anchor and step
+    recurrence, and its guard, are the module docstring's.
+    """
+    out = np.zeros((len(run), 2), dtype=complex)
+    (t0, x0), (t1, x1), span, m = run[0], run[-1], max(len(run) - 1, 1), max(ms)
+    for ik, h in tables:
+        ik, iw, h = ik[:m], iomega[:m], h[:, :m]
+        g = h * np.exp(ik * x0 - iw * t0)
+        chained = len(run) > 1
+        if chained:
+            with np.errstate(over="ignore", invalid="ignore"):
+                step = np.exp(ik * ((x1 - x0) / span) - iw * ((t1 - t0) / span))
+            chained = np.isfinite(step).all()
+        for p, (t, x) in enumerate(run):
+            if p and chained:
+                g *= step
+            elif p:
+                g = h * np.exp(ik * x - iw * t)
+            if ms[p]:
+                out[p] += g[:, : ms[p]].sum(axis=1) - (0.5 * g[:, ends[p]].sum(axis=1) if ends[p] else 0.0)
+    return out
+
+
 def _sample_sums(points, counts, lo, h, first, stride, eps, params, tables, halve_ends=False):
     """Per point i of points, the sum of the integrand at
     omega = lo + h (first + stride j) + i eps, j < counts[i]; shape (len(points), 2).
 
     Each block's frequency tables are computed once, up to the largest
-    count, and shared by every point.  With halve_ends, the first and each
-    point's last sample count half (the trapezoid's ends).
+    count, and shared by every point; each run of :func:`_runs` chains its
+    phase factors through them (:func:`_chain`).  With halve_ends, the
+    first and each point's last sample count half (the trapezoid's ends).
     """
     total = np.zeros((len(points), 2), dtype=complex)
+    runs = _runs(points)
     end = int(np.max(counts))
     for j0 in range(0, end, _BLOCK):
         j1 = min(j0 + _BLOCK, end)
@@ -414,12 +453,10 @@ def _sample_sums(points, counts, lo, h, first, stride, eps, params, tables, halv
         omega = lo + h * idx + 1j * eps
         tab = tables(omega, params)
         iomega = 1j * omega
-        for i, ((t, x), count) in enumerate(zip(points, counts)):
-            m = min(count, j1) - j0
-            if m <= 0:
-                continue
-            halve = [j for j, end in ((0, j0 == 0), (-1, count <= j1)) if halve_ends and end]
-            total[i] += _modal_sum([(ik[:m], w[:, :m]) for ik, w in tab], iomega[:m], x, t, halve)
+        for run in runs:
+            ms = np.clip(counts[run] - j0, 0, j1 - j0)
+            ends = [[j for j, end in ((0, j0 == 0), (m - 1, c <= j1)) if halve_ends and end] for m, c in zip(ms, counts[run])]
+            total[run] += _chain(tab, iomega, [points[i] for i in run], ms, ends)
     return total
 
 
@@ -448,7 +485,7 @@ def _integrate_group(points, grids, cuts, params, uncoupled=False):
     starts = [panels[-1][0] + 1j * eps for eps, _, panels in grids]
     slopes = _end_slopes(np.array(starts), np.array(ends), *np.array(points).T, params, uncoupled)
     if uncoupled:
-        tables = _uncoupled_tables
+        tables = functools.partial(_roots, uncoupled=True)
         tails = np.array([_uncoupled_tail(w, t, x, params) for w, (t, x) in zip(ends, points)])
         base = np.zeros((len(points), 2))
     else:
@@ -531,7 +568,10 @@ def field_modal_integral(t, x, params: WaveguideParams, return_info: bool = Fals
     next finer level by up to 0.56x it.
 
     An array call returns shape (n, 2), and with return_info=True also a list
-    of n such dicts.  A point that does not converge gets a NaN row and its
+    of n such dicts.  There a point's value depends on its run neighbours
+    (module docstring) at the rounding level only: it is within 1e-13 of
+    the field's scale of a scalar call's, and its dict equals that call's
+    apart from ``batch`` and, as closely, ``richardson``.  A point that does not converge gets a NaN row and its
     :class:`NoConvergence` under the dict's ``error`` key (None elsewhere).
     """
     ts, xs = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
@@ -565,10 +605,7 @@ def _quadrature(ts, xs, params: WaveguideParams, uncoupled=False):
     """Values and info dicts of the points (ts[i], xs[i])."""
     points = list(zip(ts, xs))
     grids = [_panels(t, x, params) for t, x in points]
-    cuts = [
-        panels[-1][2] if uncoupled else _cutoff(t, x, eps, panels, params)
-        for (t, x), (eps, _, panels) in zip(points, grids)
-    ]
+    cuts = [panels[-1][2] for _, _, panels in grids] if uncoupled else _cutoffs(points, grids, params).tolist()
     results = _integrate_group(points, grids, cuts, params, uncoupled)
     # the inner and middle panels are set by ppu alone: a point shares both or neither
     batch = collections.Counter((eps, panels[0]) for eps, _, panels in grids)

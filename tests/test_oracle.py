@@ -1,6 +1,7 @@
 """Quadrature reference solver: silence, convergence reporting, scalar limit."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -37,8 +38,9 @@ def test_return_info_reports_convergence():
 def _base_intervals(t, x, p):
     """The oracle's (lo, hi, intervals) of every panel of the point before any
     doubling, the last one ending at the point's cutoff."""
-    eps, _, panels = oracle._panels(t, x, p)
-    return panels[:-1] + (oracle._truncated(panels[-1], oracle._cutoff(t, x, eps, panels, p)),)
+    grid = oracle._panels(t, x, p)
+    panels = grid[2]
+    return panels[:-1] + (oracle._truncated(panels[-1], oracle._cutoffs([(t, x)], [grid], p)[0]),)
 
 
 def _finest(panels, doublings):
@@ -266,8 +268,8 @@ def _columns(points):
 
 def test_array_call_matches_scalar_calls(monkeypatch):
     tables, kernel = _count_samples(monkeypatch), []
-    modal_sum = oracle._modal_sum
-    monkeypatch.setattr(oracle, "_modal_sum", lambda tb, w, *a: kernel.append(w.size) or modal_sum(tb, w, *a))
+    chain = oracle._chain
+    monkeypatch.setattr(oracle, "_chain", lambda tb, w, run, ms, *a: kernel.append(sum(ms)) or chain(tb, w, run, ms, *a))
     u, info = field_modal_integral(*_columns(MIXED), DEFAULT_PARAMS, return_info=True)
     assert u.shape == (len(MIXED), 2) and u.dtype.kind == "f"
     # the three floor-density interior points share their inner and middle
@@ -288,6 +290,115 @@ def test_array_call_matches_scalar_calls(monkeypatch):
     assert np.max(np.abs(u - ref)) <= 1e-13 * scale
     for row, (_, single) in zip(info, singles):
         assert {**row, "batch": 1} == single
+
+
+#: the 6x5 window of `wavezones field`, in the order it calls the oracle in:
+#: column by column (V, then t)
+WINDOW = [(t, V * t) for V in np.linspace(0.65, 2.2, 5) for t in np.linspace(30.0, 220.0, 6)]
+
+
+def _record_runs(monkeypatch):
+    """(points, per-point sample counts) of every call of the chain kernel."""
+    runs, chain = [], oracle._chain
+
+    def record(tables, iomega, run, ms, ends):
+        runs.append((tuple(run), tuple(int(m) for m in ms)))
+        return chain(tables, iomega, run, ms, ends)
+
+    monkeypatch.setattr(oracle, "_chain", record)
+    return runs
+
+
+def _matches_scalar_calls(points, u, info):
+    """The array call's values within 1e-13 of scale of per-point scalar
+    calls, and its info dicts equal theirs apart from batch and, within the
+    same 1e-13 of scale, the Richardson estimate."""
+    singles = [field_modal_integral(t, x, DEFAULT_PARAMS, return_info=True) for t, x in points]
+    ref = np.array([v for v, _ in singles])
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(u - ref)) <= 1e-13 * scale
+    for row, (_, single) in zip(info, singles):
+        assert abs(row["richardson"] - single["richardson"]) <= 1e-13 * scale
+        assert {**row, "batch": 1, "richardson": 0.0} == {**single, "richardson": 0.0}
+
+
+def test_window_in_column_order_chains_each_column_of_a_grid(monkeypatch):
+    # 23 of the window's points share the floor grid's inner and middle
+    # tables; in column order each column's share of them is one run, whose
+    # phase factors cost two exponentials per root and block
+    runs = _record_runs(monkeypatch)
+    u, info = field_modal_integral(*_columns(WINDOW), DEFAULT_PARAMS, return_info=True)
+    floor = oracle._panels(20.0, 24.0, DEFAULT_PARAMS)[:2]
+    columns = [tuple(p for p in WINDOW[i:i + 6] if oracle._panels(*p, DEFAULT_PARAMS)[:2] == floor) for i in range(0, 30, 6)]
+    chained = {run for run, _ in runs if len(run) > 1}
+    assert chained == {c for c in columns if len(c) >= 3}
+    assert sorted(len(run) for run in chained) == [5, 6, 6, 6]
+    _matches_scalar_calls(WINDOW, u, info)
+
+
+def test_column_across_density_and_eps_rungs_splits_into_one_run_per_grid(monkeypatch):
+    # on V = 0.8 the interior eps steps down a rung above t = 250 and the
+    # density up a rung at t = 280: t = 240-300 falls on three grids
+    points = [(t, 0.8 * t) for t in np.arange(240.0, 301.0, 5.0)]
+    runs = _record_runs(monkeypatch)
+    u, info = field_modal_integral(*_columns(points), DEFAULT_PARAMS, return_info=True)
+    grid = lambda p: oracle._panels(*p, DEFAULT_PARAMS)[:2]
+    groups = {}
+    for p in points:
+        groups.setdefault(grid(p), []).append(p)
+    assert sorted(len(g) for g in groups.values()) == [3, 5, 5]
+    chained = {run for run, _ in runs if len(run) > 1}
+    assert {tuple(g) for g in groups.values()} <= chained
+    assert all(len({grid(p) for p in run}) == 1 for run in chained)
+    _matches_scalar_calls(points, u, info)
+
+
+def test_run_members_stop_at_their_own_cutoff(monkeypatch):
+    # at t = 200, x = 338, 340 and 342 share every panel, but the last
+    # point's cutoff is higher: the far run chains on past the first two
+    # points' count, and each point sums its far samples up to its own
+    points = [(200.0, 338.0), (200.0, 340.0), (200.0, 342.0)]
+    runs = _record_runs(monkeypatch)
+    u, info = field_modal_integral(*_columns(points), DEFAULT_PARAMS, return_info=True)
+    assert [row["omega_max"] for row in info][1:] != [info[0]["omega_max"]] * 2
+    assert any(ms[0] == ms[1] < ms[2] for run, ms in runs if len(run) == 3)
+    _matches_scalar_calls(points, u, info)
+
+
+def test_descending_row_chains_from_its_smallest_x(monkeypatch):
+    # t = 240, x = 470, 380, 290, all on one grid (eps 1e-3, 424/unit): at the
+    # lowest frequencies e^{-Im k x} underflows at x = 470, so a chain started
+    # there would grow a zero by the step e^{Im k 90}; it starts at x = 290
+    points = [(240.0, 470.0), (240.0, 380.0), (240.0, 290.0)]
+    assert {oracle._panels(*p, DEFAULT_PARAMS)[:2] for p in points} == {(1e-3, 300.0 * 2**0.5)}
+    lowest = oracle._tables(np.array([1e-3j]), DEFAULT_PARAMS)
+    assert min(abs(np.exp(ik[0] * 470.0)) for ik, _ in lowest) == 0.0
+    runs = _record_runs(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u, info = field_modal_integral(*_columns(points), DEFAULT_PARAMS, return_info=True)
+    chained = [run for run, _ in runs if len(run) > 1]
+    assert chained and all(run == tuple(points[::-1]) for run in chained)
+    _matches_scalar_calls(points, u, info)
+
+
+def test_chain_takes_each_points_exponential_where_its_step_overflows():
+    # per-point exponents 2x - 900: -900, -100 and 700.  The first underflows
+    # and the step, e^{800}, is not finite, so the kernel does not chain; it
+    # sums each point's own exponentials, without a warning
+    m = 16
+    tables = [(np.full(m, 2.0 + 0.5j), np.ones((2, m), dtype=complex))]
+    iomega = np.full(m, 1.0 + 0.3j)
+    run = [(900.0, 0.0), (900.0, 400.0), (900.0, 800.0)]
+    ms, ends = np.array([m, m, m - 4]), [[0], [], [m - 5]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = oracle._chain(tables, iomega, run, ms, ends)
+    for (t, x), n, half, row in zip(run, ms, ends, got):
+        terms = np.exp(tables[0][0][:n] * x - iomega[:n] * t)
+        terms[half] *= 0.5
+        assert np.all(np.isfinite(row))
+        assert row == pytest.approx(np.full(2, terms.sum()), rel=1e-13)
 
 
 def test_points_of_one_grid_stop_at_their_own_level(monkeypatch):

@@ -55,12 +55,19 @@ of phase rate above it, so :class:`NoConvergence` means that density did
 not suffice.  A silent point starts at a flat 75/unit, because its accuracy
 comes from e^{-eps * slack}, not from the grid.  The inner panel takes 4x
 that density, the middle panel that density, and the far panel a density
-set by the bound on its phase rates (:func:`_frame`); the far panel's
-ends, where the spacing jumps, carry an Euler-Maclaurin correction.  The
+set by the bound on its phase rates (:func:`_frame`).  The
 interior density and both contour heights sit on sqrt(2) ladders, so that
 nearby points share a grid: the interior eps is the largest rung
 1e-3 * 2^(-j/2), j >= 0, not above 0.25/t, and the silent eps is rounded
 up to a power of sqrt(2).
+
+The panel ends follow one rule.  One vectorized pass over every point's
+ends 0, w_split, W and its cutoff L (:func:`_ends`) gives the integrand f,
+its slope f' and the one-term tail beyond each end; the samples are summed
+at full weight, and the point's value then takes, in one place, half of f
+off each end of a nonempty panel (the trapezoid's half weights), the
+Euler-Maclaurin term (h_b^2 - h_a^2) f' / 12 off W and L, h_b and h_a the
+spacings before and after the end, and adds the tail at L.
 
 Most of a sample's cost depends on omega alone: the roots k and their
 weights.  :func:`field_modal_integral` therefore takes arrays of (t, x) as
@@ -190,10 +197,8 @@ def _frame(params: WaveguideParams):
     W = float(_rungs(w_split, w_max)[-1])
     omega = np.geomspace(W, w_max, _SLOPE_NODES)
     slopes = [1.0 / c for c, _, _ in _layers(params)]
-    for k, _ in _coupled_roots(omega, params):
-        slopes += np.real(derivatives_at(omega, k, params).kp).tolist()
-    for j in _forced(params):
-        slopes += np.real(_uncoupled_root(omega, j, params)[2]).tolist()
+    for _, _, dk in _modes(omega, params):
+        slopes += np.real(dk).tolist()
     return w_split, W, w_max, (min(slopes), max(slopes))
 
 
@@ -277,41 +282,21 @@ def _roots(omega, params: WaveguideParams, uncoupled=False):
     return out
 
 
+def _modes(omega, params: WaveguideParams, uncoupled=False):
+    """(k, weight, dk/domega) per root at omega, in the order and with the
+    signs of :func:`_roots`; dk/domega is the implicit derivative
+    (:func:`derivatives_at`) of a coupled root and omega / (c_j^2 k) of an
+    uncoupled one."""
+    out = [] if uncoupled else [(k, h, derivatives_at(omega, k, params).kp) for k, h in _coupled_roots(omega, params)]
+    for j in _forced(params):
+        k, h, dk = _uncoupled_root(omega, j, params)
+        out.append((k, h if uncoupled else -h, dk))
+    return out
+
+
 def _tables(omega, params: WaveguideParams):
     """The trapezoid's sample tables of :func:`_roots` at omega."""
     return _roots(omega, params)
-
-
-def _one_term_tail(k, h, rate, w_end, t, x):
-    """i h e^{i (k x - w t)} / rate at the cutoff w_end: the leading
-    integration-by-parts tail of one root's integrand beyond it, 0 where its
-    phase is nearly stationary (the correction would be invalid there)."""
-    if abs(rate) < 0.1:
-        return np.zeros(2, dtype=complex)
-    return 1j * h * np.exp(1j * (k * x - w_end * t)) / rate
-
-
-def _uncoupled_tail(w_end, t, x, params: WaveguideParams):
-    """Leading tail of the mu = 0 integrand from the cutoff w_end."""
-    tail = np.zeros(2, dtype=complex)
-    for j in _forced(params):
-        k, h, dk = _uncoupled_root(w_end, j, params)
-        tail += _one_term_tail(k, h, dk * x - t, w_end, t, x)
-    return tail
-
-
-def _tail_correction(w_end, t, x, params: WaveguideParams):
-    """Leading tail of the truncated difference integrand: the coupled
-    roots' one-term tails minus the uncoupled roots'.
-
-    Each removes the O(1/(L tau)) truncation error of its root; what the
-    pair leaves is estimated by :func:`_tail_remainder`.
-    """
-    tail = -_uncoupled_tail(w_end, t, x, params)
-    for k, h in _coupled_roots(w_end, params):
-        rate = derivatives_at(w_end, k, params).kp * x - t
-        tail += _one_term_tail(k, h, rate, w_end, t, x)
-    return tail
 
 
 def _tail_remainder(omega, t, x, params: WaveguideParams):
@@ -339,27 +324,32 @@ def _tail_remainder(omega, t, x, params: WaveguideParams):
     return total / math.pi
 
 
-def _end_slopes(W, L, t, x, params: WaveguideParams, uncoupled=False):
-    """d/domega of the points' integrand (that of :func:`_roots`) at the far
-    panel's ends W and L, frequencies on the contour; W, L, t and x are
-    scalars or equal-shape arrays, and the result has their shape plus
-    (2, 2): an end, then a component.
+def _ends(omega, t, x, params: WaveguideParams, uncoupled=False):
+    """(f, slope, tail) of the points' integrand (that of :func:`_roots`) at
+    the frequencies omega, on the contour, with t and x broadcast against
+    omega: the integrand, its d/domega and its one-term tail beyond omega,
+    each of shape omega.shape + (2,), a component last.
 
-    The roots' k and weights vary slowly there, far above every branch
-    point, so they are differenced centrally over a relative step of 1e-5;
-    the phase e^{i (k x - omega t)} is differentiated exactly.
+    dk/domega is exact (:func:`_modes`); the weights vary slowly at every
+    panel end, so they are differenced centrally over a relative step of
+    1e-5.  A root's tail i h e^{i phi} / phi', phi = k x - omega t, is the
+    leading integration-by-parts term of its integrand beyond omega, which
+    removes the O(1 / (L phi')) truncation error (what it leaves is
+    :func:`_tail_remainder`); it is 0 where |phi'| < 0.1, because the phase
+    is nearly stationary there and the term would be invalid.
     """
-    ends = np.stack(np.broadcast_arrays(W, L), axis=-1)
-    step = 1e-5 * ends.real
-    omega = ends[..., None] + step[..., None] * np.array([-1.0, 0.0, 1.0])
-    t, x = np.asarray(t)[..., None], np.asarray(x)[..., None]
-    slope = 0.0
-    for ik, h in _roots(omega.reshape(-1), params, uncoupled):
-        ik, h = ik.reshape(omega.shape), h.reshape((2,) + omega.shape)
-        dik = (ik[..., 2] - ik[..., 0]) / (2.0 * step)
+    step = 1e-5 * np.abs(omega)
+    stencil = omega[..., None] + step[..., None] * np.array([-1.0, 0.0, 1.0])
+    f = slope = tail = 0.0
+    for k, h, dk in _modes(stencil, params, uncoupled):
         dh = (h[..., 2] - h[..., 0]) / (2.0 * step)
-        slope = slope + (dh + h[..., 1] * (dik * x - 1j * t)) * np.exp(ik[..., 1] * x - 1j * ends * t)
-    return np.moveaxis(slope, 0, -1)
+        h, rate = h[..., 1], dk[..., 1] * x - t
+        phase = np.exp(1j * (k[..., 1] * x - omega * t))
+        f = f + h * phase
+        slope = slope + (dh + 1j * rate * h) * phase
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tail = tail + np.where(np.abs(rate) < 0.1, 0.0, 1j * h * phase / rate)
+    return tuple(np.moveaxis(a, 0, -1) for a in (f, slope, tail))
 
 
 def _cutoffs(points, grids, params: WaveguideParams) -> np.ndarray:
@@ -408,10 +398,9 @@ def _runs(points):
     return runs
 
 
-def _chain(tables, iomega, run, ms, ends):
+def _chain(tables, iomega, run, ms):
     """Per point (t, x) of a run of :func:`_runs`, the sum over roots and its
-    first ms[p] samples of weight * e^{i (k x - omega t)}, the samples at the
-    positions ends[p] at half weight; shape (len(run), 2).  tables are those
+    first ms[p] samples of weight * e^{i (k x - omega t)}; shape (len(run), 2).  tables are those
     of :func:`_tables` at omega, and iomega = i omega.  The anchor and step
     recurrence, and its guard, are the module docstring's.
     """
@@ -430,19 +419,17 @@ def _chain(tables, iomega, run, ms, ends):
                 g *= step
             elif p:
                 g = h * np.exp(ik * x - iw * t)
-            if ms[p]:
-                out[p] += g[:, : ms[p]].sum(axis=1) - (0.5 * g[:, ends[p]].sum(axis=1) if ends[p] else 0.0)
+            out[p] += g[:, : ms[p]].sum(axis=1)
     return out
 
 
-def _sample_sums(points, counts, lo, h, first, stride, eps, params, tables, halve_ends=False):
+def _sample_sums(points, counts, lo, h, first, stride, eps, params, tables):
     """Per point i of points, the sum of the integrand at
     omega = lo + h (first + stride j) + i eps, j < counts[i]; shape (len(points), 2).
 
     Each block's frequency tables are computed once, up to the largest
     count, and shared by every point; each run of :func:`_runs` chains its
-    phase factors through them (:func:`_chain`).  With halve_ends, the
-    first and each point's last sample count half (the trapezoid's ends).
+    phase factors through them (:func:`_chain`).
     """
     total = np.zeros((len(points), 2), dtype=complex)
     runs = _runs(points)
@@ -455,8 +442,7 @@ def _sample_sums(points, counts, lo, h, first, stride, eps, params, tables, halv
         iomega = 1j * omega
         for run in runs:
             ms = np.clip(counts[run] - j0, 0, j1 - j0)
-            ends = [[j for j, end in ((0, j0 == 0), (m - 1, c <= j1)) if halve_ends and end] for m, c in zip(ms, counts[run])]
-            total[run] += _chain(tab, iomega, [points[i] for i in run], ms, ends)
+            total[run] += _chain(tab, iomega, [points[i] for i in run], ms)
     return total
 
 
@@ -472,25 +458,28 @@ def _integrate_group(points, grids, cuts, params, uncoupled=False):
     its base interval count on the far panel.  The frequency tables are
     shared per (eps, panel): every point with that contour height and panel
     adds its sums from the same blocks.  Each point keeps its own cutoff,
-    tail, Richardson test and stopping level, and its own Euler-Maclaurin
-    correction at the far panel's ends W and L: the trapezoid of spacing h
-    on [a, b] overshoots by h^2 (f'(b) - f'(a)) / 12, which does not cancel
-    at W, where h jumps, and is large at L, where h is coarse; with it the
-    far panel converges like the middle one.  The integrand is the coupled
-    one minus the mu = 0 one, with the closed form added back, or with
-    uncoupled the mu = 0 integrand alone.  Returns per point
-    (u, doublings, Richardson estimate), with u None when tolerance is never met.
+    tail, Richardson test and stopping level.
+
+    The sums hold plain samples; everything a panel end needs comes from one
+    pass over every point's ends 0, w_split, W and its cutoff L
+    (:func:`_ends`), and :func:`value` applies it in one place: the half
+    weight of each nonempty panel's ends, the Euler-Maclaurin terms at W and
+    L, and the tail at L.  The trapezoid of spacing h on [a, b] overshoots by
+    h^2 (f'(b) - f'(a)) / 12, which does not cancel at W, where h jumps, and
+    is large at L, where h is coarse; with it the far panel converges like
+    the middle one.  The integrand is the coupled one minus the mu = 0 one,
+    with the closed form added back, or with uncoupled the mu = 0 integrand
+    alone.  Returns per point (u, doublings, Richardson estimate), with u
+    None when tolerance is never met.
     """
-    ends = [_truncated(panels[-1], m)[1] + 1j * eps for (eps, _, panels), m in zip(grids, cuts)]
-    starts = [panels[-1][0] + 1j * eps for eps, _, panels in grids]
-    slopes = _end_slopes(np.array(starts), np.array(ends), *np.array(points).T, params, uncoupled)
+    t, x = np.array(points).T[..., None]
+    ends = np.array([[lo for lo, _, _ in panels] + [_truncated(panels[-1], m)[1]] for (_, _, panels), m in zip(grids, cuts)])
+    f, slope, tail = _ends(ends + 1j * np.array([eps for eps, _, _ in grids])[:, None], t, x, params, uncoupled)
     if uncoupled:
         tables = functools.partial(_roots, uncoupled=True)
-        tails = np.array([_uncoupled_tail(w, t, x, params) for w, (t, x) in zip(ends, points)])
         base = np.zeros((len(points), 2))
     else:
         tables = _tables
-        tails = np.array([_tail_correction(w, t, x, params) for w, (t, x) in zip(ends, points)])
         base = np.array([_closed_form(t, x, params) for t, x in points])
     # per point and panel: base interval count (the far one cut) and spacing
     counts = np.array([[n for _, _, n in panels[:-1]] + [m] for (_, _, panels), m in zip(grids, cuts)])
@@ -505,8 +494,8 @@ def _integrate_group(points, grids, cuts, params, uncoupled=False):
 
     def sweep(active, level):
         """Add the samples new at level to the sums of the active points:
-        at level 0 every sample, the two ends (of a nonempty panel) at half
-        weight; at level d only the odd-indexed samples of the halved spacing."""
+        at level 0 every sample, at level d only the odd-indexed samples of
+        the halved spacing."""
         live = np.zeros(len(points), dtype=bool)
         live[active] = True
         for (eps, p, (lo, _, _)), rows in shared.items():
@@ -516,17 +505,18 @@ def _integrate_group(points, grids, cuts, params, uncoupled=False):
             c, step = counts[rows, p], steps[rows[0], p] / 2**level
             at = [points[i] for i in rows]
             if level == 0:
-                sums[rows, p] += _sample_sums(at, c + (c > 0), lo, step, 0, 1, eps, params, tables, halve_ends=True)
+                sums[rows, p] += _sample_sums(at, c + (c > 0), lo, step, 0, 1, eps, params, tables)
             else:
                 sums[rows, p] += _sample_sums(at, c << (level - 1), lo, step, 1, 2, eps, params, tables)
 
     def value(active, level):
-        h = steps[active] / 2**level
-        raw = np.einsum("ijk,ij->ik", sums[active], h)
-        # the Euler-Maclaurin terms at W and L
-        hm, hf = h[:, 1, None] ** 2, h[:, 2, None] ** 2
-        raw -= (hm * slopes[active, 0] + hf * (slopes[active, 1] - slopes[active, 0])) / 12.0
-        return base[active] + 2.0 * np.real((raw + tails[active]) * (1j / (2.0 * math.pi)))
+        # each panel's spacing, 0 on an empty far panel, and the spacings
+        # before and after each end
+        h = np.where(counts[active] > 0, steps[active], 0.0) / 2**level
+        before, after = np.pad(h, ((0, 0), (1, 0))), np.pad(h, ((0, 0), (0, 1)))
+        raw = np.einsum("ijk,ij->ik", sums[active], h) - np.einsum("ijk,ij->ik", f[active], (before + after) / 2.0)
+        raw -= np.einsum("ijk,ij->ik", slope[active, 2:], before[:, 2:] ** 2 - after[:, 2:] ** 2) / 12.0
+        return base[active] + 2.0 * np.real((raw + tail[active, -1]) * (1j / (2.0 * math.pi)))
 
     active = np.arange(len(points))
     sweep(active, 0)
@@ -549,8 +539,10 @@ def field_modal_integral(t, x, params: WaveguideParams, return_info: bool = Fals
     """Displacement pair u(t, x) by direct quadrature (the numeric oracle).
 
     The coupled integrand minus the mu = 0 one is integrated up to the
-    point's own cutoff, and the mu = 0 field, f_j * :func:`scalar_kg_exact`
-    (c_j, w_j) per component, is added back.  t and x are scalars, or
+    point's own cutoff by the trapezoid with the module docstring's end
+    rule (half weights, Euler-Maclaurin terms and the one-term tail, all
+    from one pass over the panel ends), and the mu = 0 field,
+    f_j * :func:`scalar_kg_exact` (c_j, w_j) per component, is added back.  t and x are scalars, or
     equal-length 1-D arrays evaluated in one call.
     A scalar call returns a real length-2 array; with return_info=True also a
     dict holding the contour height, the point's cutoff (``omega_max``),

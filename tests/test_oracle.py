@@ -86,11 +86,10 @@ def _one_shot(t, x, p, doublings, full=False):
     if not full:
         panels = _base_intervals(t, x, p)
     (mid_lo, W, n_mid), (_, L, n_far) = panels[1:]
-    raw = oracle._tail_correction(L + 1j * eps, t, x, p)
-    slope_w, slope_l = oracle._end_slopes(W + 1j * eps, L + 1j * eps, t, x, p)
+    _, slope, tail = oracle._ends(np.array([W, L]) + 1j * eps, t, x, p)
     h_mid = (W - mid_lo) / (n_mid << doublings)
     h_far = (L - W) / (n_far << doublings) if n_far else 0.0
-    raw = raw - (h_mid**2 * slope_w + h_far**2 * (slope_l - slope_w)) / 12.0
+    raw = tail[1] - (h_mid**2 * slope[0] + h_far**2 * (slope[1] - slope[0])) / 12.0
     for lo, hi, n in panels:
         if not n:
             continue
@@ -269,7 +268,7 @@ def _columns(points):
 def test_array_call_matches_scalar_calls(monkeypatch):
     tables, kernel = _count_samples(monkeypatch), []
     chain = oracle._chain
-    monkeypatch.setattr(oracle, "_chain", lambda tb, w, run, ms, *a: kernel.append(sum(ms)) or chain(tb, w, run, ms, *a))
+    monkeypatch.setattr(oracle, "_chain", lambda tb, w, run, ms: kernel.append(sum(ms)) or chain(tb, w, run, ms))
     u, info = field_modal_integral(*_columns(MIXED), DEFAULT_PARAMS, return_info=True)
     assert u.shape == (len(MIXED), 2) and u.dtype.kind == "f"
     # the three floor-density interior points share their inner and middle
@@ -301,9 +300,9 @@ def _record_runs(monkeypatch):
     """(points, per-point sample counts) of every call of the chain kernel."""
     runs, chain = [], oracle._chain
 
-    def record(tables, iomega, run, ms, ends):
+    def record(tables, iomega, run, ms):
         runs.append((tuple(run), tuple(int(m) for m in ms)))
-        return chain(tables, iomega, run, ms, ends)
+        return chain(tables, iomega, run, ms)
 
     monkeypatch.setattr(oracle, "_chain", record)
     return runs
@@ -390,13 +389,12 @@ def test_chain_takes_each_points_exponential_where_its_step_overflows():
     tables = [(np.full(m, 2.0 + 0.5j), np.ones((2, m), dtype=complex))]
     iomega = np.full(m, 1.0 + 0.3j)
     run = [(900.0, 0.0), (900.0, 400.0), (900.0, 800.0)]
-    ms, ends = np.array([m, m, m - 4]), [[0], [], [m - 5]]
+    ms = np.array([m, m, m - 4])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = oracle._chain(tables, iomega, run, ms, ends)
-    for (t, x), n, half, row in zip(run, ms, ends, got):
+        got = oracle._chain(tables, iomega, run, ms)
+    for (t, x), n, row in zip(run, ms, got):
         terms = np.exp(tables[0][0][:n] * x - iomega[:n] * t)
-        terms[half] *= 0.5
         assert np.all(np.isfinite(row))
         assert row == pytest.approx(np.full(2, terms.sum()), rel=1e-13)
 

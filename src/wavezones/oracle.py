@@ -63,11 +63,17 @@ up to a power of sqrt(2).
 
 The panel ends follow one rule.  One vectorized pass over every point's
 ends 0, w_split, W and its cutoff L (:func:`_ends`) gives the integrand f,
-its slope f' and the one-term tail beyond each end; the samples are summed
-at full weight, and the point's value then takes, in one place, half of f
-off each end of a nonempty panel (the trapezoid's half weights), the
-Euler-Maclaurin term (h_b^2 - h_a^2) f' / 12 off W and L, h_b and h_a the
-spacings before and after the end, and adds the tail at L.
+its slope f' and the one-term tail beyond each end.  The samples are summed
+at full weight, and the point's value then applies, in one place, the
+trapezoid's half weights (half of f off each end of a nonempty panel), the
+Euler-Maclaurin term (h_b^2 - h_a^2) f' / 12 off every end, h_b and h_a the
+spacings before and after it, and the tail at L.  The trapezoid of spacing
+h on [a, b] overshoots by h^2 (f'(b) - f'(a)) / 12; the term removes that
+error where the spacing jumps, at w_split (4x to 1x) and at W, and where it
+is coarse, at L.  With it the estimates of interior points fall about
+1000x per doubling, against about 4x with the jump at w_split left in.  At
+0 the term has no real part, by the integrand's conjugate symmetry, and
+moves no value.
 
 Most of a sample's cost depends on omega alone: the roots k and their
 weights.  :func:`field_modal_integral` therefore takes arrays of (t, x) as
@@ -460,14 +466,11 @@ def _integrate_group(points, grids, cuts, params, uncoupled=False):
     adds its sums from the same blocks.  Each point keeps its own cutoff,
     tail, Richardson test and stopping level.
 
-    The sums hold plain samples; everything a panel end needs comes from one
-    pass over every point's ends 0, w_split, W and its cutoff L
-    (:func:`_ends`), and :func:`value` applies it in one place: the half
-    weight of each nonempty panel's ends, the Euler-Maclaurin terms at W and
-    L, and the tail at L.  The trapezoid of spacing h on [a, b] overshoots by
-    h^2 (f'(b) - f'(a)) / 12, which does not cancel at W, where h jumps, and
-    is large at L, where h is coarse; with it the far panel converges like
-    the middle one.  The integrand is the coupled one minus the mu = 0 one,
+    The sums hold plain samples.  One :func:`_ends` pass over every point's
+    ends 0, w_split, W and L gives what the ends need, and :func:`value`
+    applies the module docstring's end rule in one place: the half weight
+    of each nonempty panel's ends, the Euler-Maclaurin term at every end and
+    the tail at L.  The integrand is the coupled one minus the mu = 0 one,
     with the closed form added back, or with uncoupled the mu = 0 integrand
     alone.  Returns per point (u, doublings, Richardson estimate), with u
     None when tolerance is never met.
@@ -515,7 +518,7 @@ def _integrate_group(points, grids, cuts, params, uncoupled=False):
         h = np.where(counts[active] > 0, steps[active], 0.0) / 2**level
         before, after = np.pad(h, ((0, 0), (1, 0))), np.pad(h, ((0, 0), (0, 1)))
         raw = np.einsum("ijk,ij->ik", sums[active], h) - np.einsum("ijk,ij->ik", f[active], (before + after) / 2.0)
-        raw -= np.einsum("ijk,ij->ik", slope[active, 2:], before[:, 2:] ** 2 - after[:, 2:] ** 2) / 12.0
+        raw -= np.einsum("ijk,ij->ik", slope[active], before**2 - after**2) / 12.0
         return base[active] + 2.0 * np.real((raw + tail[active, -1]) * (1j / (2.0 * math.pi)))
 
     active = np.arange(len(points))
@@ -557,7 +560,9 @@ def field_modal_integral(t, x, params: WaveguideParams, return_info: bool = Fals
     between them: it is an estimate, not a bound, and it does not see the
     truncation at ``omega_max``.  At the interior points of the 6x5 ``field``
     window (t 30-220, V 0.65-1.8125) the returned value differs from the
-    next finer level by up to 0.56x it.
+    next finer level by up to 0.007x it: with the Euler-Maclaurin term at
+    w_split the value converges faster than O(h^2), and the estimate
+    overstates the error.
 
     An array call returns shape (n, 2), and with return_info=True also a list
     of n such dicts.  There a point's value depends on its run neighbours

@@ -192,10 +192,9 @@ def cmd_field(args: argparse.Namespace, params: WaveguideParams) -> int:
     # equally spaced along a ray and the oracle chains their phase factors
     need = sorted((i for i, fv in enumerate(fvs) if fv is not None and not fv.used_oracle), key=lambda i: i % nv)
     u = [None if fv is None else fv.u for fv in fvs]
-    if need:
-        t = np.array([points[i][0] for i in need])
-        for i, row in zip(need, field_modal_integral(t, np.array([points[i][1] for i in need]) * t, params)):
-            u[i] = row
+    t = np.array([points[i][0] for i in need])
+    for i, row in zip(need, field_modal_integral(t, np.array([points[i][1] for i in need]) * t, params)):
+        u[i] = row
     results = [_field_row(t, V, fv, ui) for (t, V), fv, ui in zip(points, fvs, u)]
     header = _config_echo(args, params) + [
         "columns: t,V,zone,u1_oracle,u2_oracle,u1_asym,u2_asym,terms,converged"

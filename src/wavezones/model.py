@@ -280,7 +280,6 @@ def crossing_point(params: WaveguideParams) -> CrossingPoint:
 class JParameters:
     """Stretched coordinates of the exchange pulse at one (t, x)."""
 
-    xi: float        # time stretch of the pulse envelope
     b: float         # Bessel argument, >= 0 inside the wedge, NaN outside
     drift: float     # centered time in stretch units
     scale: float     # loop-integral second parameter
@@ -301,12 +300,12 @@ def j_parameters(t: float, x: float, params: WaveguideParams) -> JParameters:
     cp = crossing_point(params)
     inv_gap = 1.0 / cp.v_slow - 1.0 / cp.v_fast
     ck = params.c1 * params.c2 * cp.k_c
-    xi = ck * inv_gap / params.mu if params.mu > 0 else math.inf
-    drift = (t - 0.5 * x * (1.0 / cp.v_fast + 1.0 / cp.v_slow)) / xi if params.mu > 0 else 0.0
+    # centered time over the pulse envelope's time stretch, ck inv_gap / mu
+    drift = (t - 0.5 * x * (1.0 / cp.v_fast + 1.0 / cp.v_slow)) / (ck * inv_gap / params.mu) if params.mu > 0 else 0.0
     scale = x * params.mu / (2.0 * ck)
     if x / cp.v_fast <= t <= x / cp.v_slow:
         b = params.mu * math.sqrt((t - x / cp.v_fast) * (x / cp.v_slow - t)) / (ck * inv_gap)
     else:
         b = math.nan
     c_norm = (params.c1 * params.c2) ** 2 * cp.k_c**2 * inv_gap
-    return JParameters(xi=xi, b=b, drift=drift, scale=scale, c_norm=c_norm)
+    return JParameters(b=b, drift=drift, scale=scale, c_norm=c_norm)

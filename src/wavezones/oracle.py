@@ -565,7 +565,7 @@ def field_modal_integral(t, x, params: WaveguideParams, return_info: bool = Fals
     overstates the error.
 
     An array call returns shape (n, 2), and with return_info=True also a list
-    of n such dicts.  There a point's value depends on its run neighbours
+    of n such dicts; n may be 0.  There a point's value depends on its run neighbours
     (module docstring) at the rounding level only: it is within 1e-13 of
     the field's scale of a scalar call's, and its dict equals that call's
     apart from ``batch`` and, as closely, ``richardson``.  A point that does not converge gets a NaN row and its
@@ -601,6 +601,8 @@ def _uncoupled_quadrature(t, x, params: WaveguideParams):
 def _quadrature(ts, xs, params: WaveguideParams, uncoupled=False):
     """Values and info dicts of the points (ts[i], xs[i])."""
     points = list(zip(ts, xs))
+    if not points:
+        return np.zeros((0, 2)), []
     grids = [_panels(t, x, params) for t, x in points]
     cuts = [panels[-1][2] for _, _, panels in grids] if uncoupled else _cutoffs(points, grids, params).tolist()
     results = _integrate_group(points, grids, cuts, params, uncoupled)

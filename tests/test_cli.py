@@ -223,6 +223,20 @@ def test_field_reports_a_failed_assembly(tmp_path, monkeypatch):
     assert [failed[i] for i in (0, 1, 3)] == [ok[i] for i in (0, 1, 3)]
 
 
+def test_field_with_no_point_for_the_oracle(tmp_path, monkeypatch):
+    # every assembly fails, so the oracle's call is empty: each row is
+    # reported failed and the exit code is 1
+    def failing(t, x, params, S):
+        raise NoConvergence(f"forced failure at t={t!r}, x={x!r}")
+
+    monkeypatch.setattr(cli, "assemble_field", failing)
+    out = tmp_path / "f.csv"
+    assert main(["field", "--t-min", "30", "--t-max", "40", "--v-min", "1.0", "--v-max", "2.2",
+                 "--grid", "2x2", "--out", str(out)]) == 1
+    rows = [l.split(",") for l in _read(out).splitlines() if not l.startswith("#")][1:]
+    assert len(rows) == 4 and all(r[2:] == ["?", "nan", "nan", "nan", "nan", "-", "0"] for r in rows)
+
+
 def test_scalar_csv(tmp_path):
     out = tmp_path / "s.csv"
     assert main(["scalar", "--grid", "6x5", "--t-min", "2", "--t-max", "40", "--out", str(out)]) == 0

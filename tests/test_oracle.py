@@ -429,6 +429,15 @@ def test_unmet_tolerance_reported_per_point(monkeypatch):
         assert row["doublings"] == oracle._MAX_REFINEMENT
 
 
+def test_empty_array_calls_return_no_rows():
+    empty = np.array([])
+    u, info = field_modal_integral(empty, empty, DEFAULT_PARAMS, return_info=True)
+    assert u.shape == (0, 2) and info == []
+    assert field_modal_integral(empty, empty, DEFAULT_PARAMS).shape == (0, 2)
+    u, info = oracle._uncoupled_quadrature(empty, empty, DEFAULT_PARAMS)
+    assert u.shape == (0, 2) and info == []
+
+
 def test_array_call_rejects_mismatched_shapes():
     with pytest.raises(ValueError):
         field_modal_integral(np.array([20.0, 30.0]), np.array([24.0]), DEFAULT_PARAMS)
@@ -449,6 +458,15 @@ def test_silent_just_beyond_the_front():
     # scale of (20, 24)
     u = field_modal_integral(50.0, 100.05, DEFAULT_PARAMS)
     assert np.max(np.abs(u)) <= 1e-3 * 0.0287
+
+
+def test_tail_is_dropped_where_its_phase_is_stationary():
+    # at (50, 100.05) the cutoff is w_max and the c1 roots' phase rate there,
+    # about x / c1 - t = 0.025, is under 0.1: their one-term tails would be
+    # divided by it, so they are left out.  With them the value reads
+    # (-3.1e-9, -1.08e-7)
+    u = field_modal_integral(50.0, 100.05, DEFAULT_PARAMS)
+    assert u == pytest.approx([1.37e-8, 1.02e-7], abs=oracle._ABS_FLOOR)
 
 
 def test_field_next_to_the_source_is_the_uncoupled_front():

@@ -55,8 +55,8 @@ of phase rate above it, so :class:`NoConvergence` means that density did
 not suffice.  A silent point starts at a flat 75/unit, because its accuracy
 comes from e^{-eps * slack}, not from the grid.  The inner panel takes 4x
 that density, the middle panel that density, and the far panel a density
-set by the bound on its phase rates (:func:`_frame`).  The
-interior density and both contour heights sit on sqrt(2) ladders, so that
+set by the bound on its phase rates (:func:`_frame`).  The interior
+density and both contour heights sit on sqrt(2) ladders, so that
 nearby points share a grid: the interior eps is the largest rung
 1e-3 * 2^(-j/2), j >= 0, not above 0.25/t, and the silent eps is rounded
 up to a power of sqrt(2).
@@ -288,6 +288,11 @@ def _roots(omega, params: WaveguideParams, uncoupled=False):
     return out
 
 
+def _tables(omega, params: WaveguideParams):
+    """The trapezoid's sample tables of :func:`_roots` at omega."""
+    return _roots(omega, params)
+
+
 def _modes(omega, params: WaveguideParams, uncoupled=False):
     """(k, weight, dk/domega) per root at omega, in the order and with the
     signs of :func:`_roots`; dk/domega is the implicit derivative
@@ -298,11 +303,6 @@ def _modes(omega, params: WaveguideParams, uncoupled=False):
         k, h, dk = _uncoupled_root(omega, j, params)
         out.append((k, h if uncoupled else -h, dk))
     return out
-
-
-def _tables(omega, params: WaveguideParams):
-    """The trapezoid's sample tables of :func:`_roots` at omega."""
-    return _roots(omega, params)
 
 
 def _tail_remainder(omega, t, x, params: WaveguideParams):
@@ -406,9 +406,10 @@ def _runs(points):
 
 def _chain(tables, iomega, run, ms):
     """Per point (t, x) of a run of :func:`_runs`, the sum over roots and its
-    first ms[p] samples of weight * e^{i (k x - omega t)}; shape (len(run), 2).  tables are those
-    of :func:`_tables` at omega, and iomega = i omega.  The anchor and step
-    recurrence, and its guard, are the module docstring's.
+    first ms[p] samples of weight * e^{i (k x - omega t)}; shape
+    (len(run), 2).  tables are those of :func:`_tables` at omega, and
+    iomega = i omega.  The anchor and step recurrence, and its guard, are
+    the module docstring's.
     """
     out = np.zeros((len(run), 2), dtype=complex)
     (t0, x0), (t1, x1), span, m = run[0], run[-1], max(len(run) - 1, 1), max(ms)
@@ -545,8 +546,8 @@ def field_modal_integral(t, x, params: WaveguideParams, return_info: bool = Fals
     point's own cutoff by the trapezoid with the module docstring's end
     rule (half weights, Euler-Maclaurin terms and the one-term tail, all
     from one pass over the panel ends), and the mu = 0 field,
-    f_j * :func:`scalar_kg_exact` (c_j, w_j) per component, is added back.  t and x are scalars, or
-    equal-length 1-D arrays evaluated in one call.
+    f_j * :func:`scalar_kg_exact` (c_j, w_j) per component, is added back.
+    t and x are scalars, or equal-length 1-D arrays evaluated in one call.
     A scalar call returns a real length-2 array; with return_info=True also a
     dict holding the contour height, the point's cutoff (``omega_max``),
     final density, Richardson estimate, the number of integrand samples
@@ -565,8 +566,8 @@ def field_modal_integral(t, x, params: WaveguideParams, return_info: bool = Fals
     overstates the error.
 
     An array call returns shape (n, 2), and with return_info=True also a list
-    of n such dicts; n may be 0.  There a point's value depends on its run neighbours
-    (module docstring) at the rounding level only: it is within 1e-13 of
+    of n such dicts; n may be 0.  There a point's value depends on its run
+    neighbours (module docstring) at the rounding level only: it is within 1e-13 of
     the field's scale of a scalar call's, and its dict equals that call's
     apart from ``batch`` and, as closely, ``richardson``.  A point that does not converge gets a NaN row and its
     :class:`NoConvergence` under the dict's ``error`` key (None elsewhere).

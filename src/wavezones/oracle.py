@@ -48,18 +48,18 @@ estimate of the returned value, closed form included, reported through
 The error estimate, not the base grid, sets each point's density (the
 trapezoid rule converges geometrically on the shifted line; Trefethen &
 Weideman, SIAM Rev. 56, 2014).  So the base grids are coarse: an interior
-point starts at 0.75 samples per unit of its phase rate, at least 300/unit,
-and may double :data:`_MAX_REFINEMENT` = 5 times.  The coarse start costs
-no reach: the finest grid is 9600/unit at the floor and 24 samples per unit
-of phase rate above it, so :class:`NoConvergence` means that density did
-not suffice.  A silent point starts at a flat 75/unit, because its accuracy
-comes from e^{-eps * slack}, not from the grid.  The inner panel takes 4x
-that density, the middle panel that density, and the far panel a density
-set by the bound on its phase rates (:func:`_frame`).  The interior
-density and both contour heights sit on sqrt(2) ladders, so that
-nearby points share a grid: the interior eps is the largest rung
-1e-3 * 2^(-j/2), j >= 0, not above 0.25/t, and the silent eps is rounded
-up to a power of sqrt(2).
+point starts at 0.75 / sqrt(2) (0.53) samples per unit of its phase rate, at
+least 300/unit, and may double :data:`_MAX_REFINEMENT` = 6 times.  The
+coarse start costs no reach: the finest grid is 19200/unit at the floor and
+24 sqrt(2) (34) samples per unit of phase rate above it, so
+:class:`NoConvergence` means that density did not suffice.  A silent point
+starts at a flat 75/unit, because its accuracy comes from e^{-eps * slack},
+not from the grid.  The inner panel takes 4x that density, the middle panel
+that density, and the far panel a density set by the bound on its phase
+rates (:func:`_frame`).  The interior density and eps sit on sqrt(2)
+ladders, so that nearby points share a grid: the interior eps is the
+largest rung 1e-3 * 2^(-j/2), j >= 0, not above 0.25/t.  Every silent point
+takes one eps, 10, so that silent points share their tables and runs.
 
 The panel ends follow one rule.  One vectorized pass over every point's
 ends 0, w_split, W and its cutoff L (:func:`_ends`) gives the integrand f,
@@ -91,7 +91,8 @@ with step = e^{i (k dx - omega dt)}.  So the points of each table are split
 into runs (:func:`_runs`), at least 3 consecutive points equally spaced to
 within rounding, and per root and block a run costs two exponentials, the
 anchor and the step; each further point costs one complex multiply per
-sample, with the weight carried along (g = h e^{i phi_0}, then g *= step,
+sample, and each point's sum is one matrix-vector product of the weights
+with its phase factors (e = e^{i phi_0}, then e *= step and h @ e,
 :func:`_chain`).  A run chains from its smallest x, so that on evanescent
 samples the step shrinks rather than overflows, and where a step is still
 not finite its points take their own exponentials.  Every other point is a
@@ -125,7 +126,7 @@ __all__ = [
 
 
 #: density doublings attempted before giving up
-_MAX_REFINEMENT = 5
+_MAX_REFINEMENT = 6
 #: relative Richardson target
 _TOL = 3e-4
 #: absolute convergence floor (silent-zone values)
@@ -154,16 +155,14 @@ def _sqrt2_ladder(v: float, base: float) -> float:
 
 
 def _auto_epsilon(t: float, x: float, c1: float) -> float:
-    slack = x / c1 - t
-    if t > 0.0 and slack < 0.0:
-        # the largest rung 1e-3 * 2^(-j/2), j >= 0, not above 0.25 / t, so
-        # that the rows of a late window share grids
+    """The contour height of the point (t, x).  Interior: the largest rung
+    1e-3 * 2^(-j/2), j >= 0, not above 0.25 / t, so that the rows of a late
+    window share grids.  Silent (t <= 0 or x >= c1 t): 10 at any slack, as a
+    higher contour only deepens e^{-eps * slack}; one height lets silent
+    points share their tables and runs."""
+    if t > 0.0 and x / c1 < t:
         return 1e-3 / _sqrt2_ladder(max(4e-3 * t, 1.0), 1.0)
-    # silent region: push the contour up until e^{-eps * slack} is negligible,
-    # on a sqrt(2) ladder so that silent points share grids
-    if t <= 0.0:
-        slack = abs(t) + x / c1
-    return min(10.0, _sqrt2_ladder(30.0 / max(slack, 3.0), 1.0))
+    return 10.0
 
 
 def _sqrt_upper(r):
@@ -217,12 +216,12 @@ def _panels(t: float, x: float, params: WaveguideParams):
     frequencies on it at every level.
 
     The base grid is deliberately coarse and the Richardson test decides how
-    far to refine.  An interior point starts at 0.75 samples per unit of its
-    phase rate x/c2 + |t|, at least 300, rounded up to the ladder
+    far to refine.  An interior point starts at 0.75 / sqrt(2) samples per
+    unit of its phase rate x/c2 + |t|, at least 300, rounded up to the ladder
     300 * 2^(j/2) so that nearby points share a grid; its finest reachable
-    density, ppu * 2^_MAX_REFINEMENT, is thus at least 9600/unit and at least
-    24 (x/c2 + |t|): the coarse start saves samples, not reach.
-    A silent point starts at a flat 75/unit: its large eps makes its value
+    density, ppu * 2^_MAX_REFINEMENT, is thus at least 19200/unit and at
+    least 24 sqrt(2) (x/c2 + |t|): the coarse start saves samples, not reach.
+    A silent point starts at a flat 75/unit: its eps of 10 makes its value
     e^{-eps * slack} small whatever the grid.
 
     ppu_far is :data:`_FAR_PER_RATE` samples per unit of the bound R of
@@ -232,7 +231,7 @@ def _panels(t: float, x: float, params: WaveguideParams):
     w_split, W, w_max, slopes = _frame(params)
     eps = _auto_epsilon(t, x, params.c1)
     if t > 0.0 and x / params.c1 < t:  # the interior test of _auto_epsilon
-        ppu = _sqrt2_ladder(max(300.0, 0.75 * (x / params.c2 + abs(t))), 300.0)
+        ppu = _sqrt2_ladder(max(300.0, 0.75 / math.sqrt(2.0) * (x / params.c2 + abs(t))), 300.0)
     else:
         ppu = 75.0
     rate = max(abs(x * s - t) for s in slopes)
@@ -415,7 +414,7 @@ def _chain(tables, iomega, run, ms):
     (t0, x0), (t1, x1), span, m = run[0], run[-1], max(len(run) - 1, 1), max(ms)
     for ik, h in tables:
         ik, iw, h = ik[:m], iomega[:m], h[:, :m]
-        g = h * np.exp(ik * x0 - iw * t0)
+        e = np.exp(ik * x0 - iw * t0)
         chained = len(run) > 1
         if chained:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -423,10 +422,10 @@ def _chain(tables, iomega, run, ms):
             chained = np.isfinite(step).all()
         for p, (t, x) in enumerate(run):
             if p and chained:
-                g *= step
+                e *= step
             elif p:
-                g = h * np.exp(ik * x - iw * t)
-            out[p] += g[:, : ms[p]].sum(axis=1)
+                e = np.exp(ik * x - iw * t)
+            out[p] += h[:, : ms[p]] @ e[: ms[p]]
     return out
 
 
@@ -559,11 +558,11 @@ def field_modal_integral(t, x, params: WaveguideParams, return_info: bool = Fals
     ``richardson`` is the larger component of |cur - prev| / 3 between the
     last two levels of the returned value, which assumes O(h^2) convergence
     between them: it is an estimate, not a bound, and it does not see the
-    truncation at ``omega_max``.  At the interior points of the 6x5 ``field``
-    window (t 30-220, V 0.65-1.8125) the returned value differs from the
-    next finer level by up to 0.007x it: with the Euler-Maclaurin term at
-    w_split the value converges faster than O(h^2), and the estimate
-    overstates the error.
+    truncation at ``omega_max``.  At the 24 interior points of the 6x5
+    ``field`` window (t 30-220, V 0.65-1.8125, all at the floor density, one
+    doubling) the returned value differs from the next finer level by up to
+    0.007x it (median 0.0014x): with the Euler-Maclaurin term at w_split the
+    value converges faster than O(h^2), and the estimate overstates the error.
 
     An array call returns shape (n, 2), and with return_info=True also a list
     of n such dicts; n may be 0.  There a point's value depends on its run

@@ -204,14 +204,18 @@ def _airy_oscillatory(z):
 
 
 def airy_pair(x):
-    """(Ai, Ai') for real argument, from one evaluation of each region's series."""
+    """(Ai, Ai') for real argument, from one evaluation of each region's series.
+
+    NaN gives NaN; at +inf both are 0, and at -inf Ai is 0 and Ai', whose
+    oscillation grows like |x|^(1/4), is NaN.
+    """
     arr, scalar = _as_array(x)
     a = np.atleast_1d(arr).astype(float)
-    ai = np.empty_like(a)
-    aip = np.empty_like(a)
+    ai = np.where(np.isinf(a), 0.0, np.nan)
+    aip = np.where(a == np.inf, 0.0, np.nan)
     mid = np.abs(a) <= _AIRY_SEAM
-    right = a > _AIRY_SEAM
-    left = a < -_AIRY_SEAM
+    right = (a > _AIRY_SEAM) & (a < np.inf)
+    left = (a < -_AIRY_SEAM) & (a > -np.inf)
     if mid.any():
         ai[mid], aip[mid] = _airy_maclaurin(a[mid])
     if right.any():

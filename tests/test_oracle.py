@@ -171,33 +171,37 @@ def test_truncation_at_the_cutoff_within_the_tail_bound(t, x):
     assert np.max(np.abs(short - full)) <= oracle._TAIL_BOUND
 
 
-def test_interior_points_refine_to_4800_per_unit_at_least():
-    # the coarse start keeps the finest reachable interior density: 9600/unit
-    # at the floor, and 24 per unit of phase rate above it
+def test_interior_points_refine_to_19200_per_unit_at_the_floor_and_24_per_unit_of_rate():
+    # the coarse start keeps the finest reachable interior density: 19200/unit
+    # at the floor, and 24 per unit of phase rate above it (0.75 / sqrt(2)
+    # samples per unit of rate, doubled 6 times, is 34)
     ppu = oracle._panels(20.0, 24.0, DEFAULT_PARAMS)[1]
-    assert ppu * 2**oracle._MAX_REFINEMENT == 9600.0
-    for t, x in [(150.0, 100.0), (220.0, 300.0), (40.0, 78.0), (220.0, 400.0), (500.0, 403.8)]:
+    assert ppu * 2**oracle._MAX_REFINEMENT == 19200.0
+    for t, x in [(150.0, 100.0), (220.0, 300.0), (40.0, 78.0), (220.0, 400.0), (500.0, 403.8), (350.0, 650.0)]:
         ppu = oracle._panels(t, x, DEFAULT_PARAMS)[1]
         assert ppu * 2**oracle._MAX_REFINEMENT >= 24.0 * (x / DEFAULT_PARAMS.c2 + t)
 
 
 def test_field_grid_falls_on_few_quadrature_grids():
-    # the density and silent eps ladders let the 6x5 field grid share its
-    # inner and middle tables, the sets that hold most of its table samples
-    # (each far density adds only a small table)
+    # the window's interior points all start at the floor density and its
+    # silent points all take eps 10: the 6x5 field grid shares its inner and
+    # middle tables, the sets that hold most of its table samples, on two
+    # grids (each far density adds only a small table)
     grids = set()
     for t in np.linspace(30.0, 220.0, 6):
         for V in np.linspace(0.65, 2.2, 5):
             eps, _, panels = oracle._panels(t, V * t, DEFAULT_PARAMS)
             grids.add((eps, panels[:-1]))
-    assert len(grids) <= 10
+    assert len(grids) == 2
 
 
 def test_field_grid_window_takes_at_most_1_3_million_samples():
     # the 6x5 window of `wavezones field`: run to w_max, its points would take
     # 6,034,014 integrand samples; the subtraction lets most stop near 23
     # (1,643,130), and the coarse start at 0.75 samples per unit of phase
-    # rate puts 23 of the 30 points on one grid at the floor (1,196,766)
+    # rate puts 23 of the 30 points on one grid at the floor (1,196,766);
+    # with the Euler-Maclaurin end terms and the start at 0.53 per unit, all
+    # 24 interior points are on it (764,895 measured)
     t = np.repeat(np.linspace(30.0, 220.0, 6), 5)
     V = np.tile(np.linspace(0.65, 2.2, 5), 6)
     _, info = field_modal_integral(t, V * t, DEFAULT_PARAMS, return_info=True)
@@ -255,10 +259,11 @@ def test_unmet_tolerance_raises_after_every_doubling(monkeypatch):
     assert sum(counted) == _finest(_base_intervals(20.0, 24.0, DEFAULT_PARAMS), d)
 
 
-#: floor-density interior points on one quadrature grid, above-floor interior
-#: points (both at 424/unit, (300, 250) one eps rung lower), silent points
-#: beyond the front (x > c1 t) and before the impulse
-MIXED = [(20.0, 24.0), (20.0, 10.0), (40.0, 60.0), (220.0, 400.0), (300.0, 250.0),
+#: floor-density interior points on one quadrature grid, an interior point
+#: at the floor density one eps rung lower (300, 250), an above-floor one
+#: (424/unit) at that eps (300, 500), silent points beyond the front
+#: (x > c1 t) and before the impulse
+MIXED = [(20.0, 24.0), (20.0, 10.0), (40.0, 60.0), (220.0, 400.0), (300.0, 250.0), (300.0, 500.0),
          (30.0, 66.0), (10.0, 30.0), (-5.0, 10.0), (-2.0, 2.0)]
 
 
@@ -272,11 +277,11 @@ def test_array_call_matches_scalar_calls(monkeypatch):
     monkeypatch.setattr(oracle, "_chain", lambda tb, w, run, ms: kernel.append(sum(ms)) or chain(tb, w, run, ms))
     u, info = field_modal_integral(*_columns(MIXED), DEFAULT_PARAMS, return_info=True)
     assert u.shape == (len(MIXED), 2) and u.dtype.kind == "f"
-    # the three floor-density interior points share their inner and middle
-    # panels, and so do (30, 66) and (-2, 2) (eps 10 at the floor density):
+    # the four floor-density interior points at eps 1e-3 share their inner
+    # and middle panels, and so do the four silent points (eps 10 at 75/unit):
     # one table per (eps, panel), far panels included, while every point
     # evaluates its integrand on all its samples
-    assert [i["batch"] for i in info] == [3, 3, 3, 1, 1, 2, 1, 1, 2]
+    assert [i["batch"] for i in info] == [4, 4, 4, 4, 1, 1, 4, 4, 4, 4]
     grids = {}
     for (t, x), row in zip(MIXED, info):
         eps, _, panels = oracle._panels(t, x, DEFAULT_PARAMS)
@@ -286,7 +291,7 @@ def test_array_call_matches_scalar_calls(monkeypatch):
     assert sum(kernel) == sum(i["samples"] for i in info)
     singles = [field_modal_integral(t, x, DEFAULT_PARAMS, return_info=True) for t, x in MIXED]
     ref = np.array([v for v, _ in singles])
-    scale = np.max(np.abs(ref[:5]))
+    scale = np.max(np.abs(ref[:6]))
     assert np.max(np.abs(u - ref)) <= 1e-13 * scale
     for row, (_, single) in zip(info, singles):
         assert {**row, "batch": 1} == single
@@ -323,23 +328,43 @@ def _matches_scalar_calls(points, u, info):
 
 
 def test_window_in_column_order_chains_each_column_of_a_grid(monkeypatch):
-    # 23 of the window's points share the floor grid's inner and middle
-    # tables; in column order each column's share of them is one run, whose
-    # phase factors cost two exponentials per root and block
+    # the window's 24 interior points share the floor grid's inner and
+    # middle tables, and its 6 silent points the silent grid's; in column
+    # order each column is one run on its grid, whose phase factors cost two
+    # exponentials per root and block
     runs = _record_runs(monkeypatch)
     u, info = field_modal_integral(*_columns(WINDOW), DEFAULT_PARAMS, return_info=True)
-    floor = oracle._panels(20.0, 24.0, DEFAULT_PARAMS)[:2]
-    columns = [tuple(p for p in WINDOW[i:i + 6] if oracle._panels(*p, DEFAULT_PARAMS)[:2] == floor) for i in range(0, 30, 6)]
+    grids = {oracle._panels(*p, DEFAULT_PARAMS)[:2] for p in WINDOW}
+    assert grids == {oracle._panels(20.0, 24.0, DEFAULT_PARAMS)[:2], (10.0, 75.0)}
+    columns = [tuple(WINDOW[i:i + 6]) for i in range(0, 30, 6)]
+    assert all(len({oracle._panels(*p, DEFAULT_PARAMS)[:2] for p in c}) == 1 for c in columns)
     chained = {run for run, _ in runs if len(run) > 1}
-    assert chained == {c for c in columns if len(c) >= 3}
-    assert sorted(len(run) for run in chained) == [5, 6, 6, 6]
+    assert chained == set(columns)
     _matches_scalar_calls(WINDOW, u, info)
 
 
+def test_silent_points_share_one_contour_height_and_chain(monkeypatch):
+    # a larger eps only deepens a silent point's e^{-eps * slack}, so every
+    # silent point, before the impulse or beyond the c1 front, at any slack,
+    # takes eps = 10; the window's V = 2.2 column then shares one table set
+    # and chains as one run
+    c1 = DEFAULT_PARAMS.c1
+    for t, x in [(-50.0, 0.0), (-5.0, 10.0), (-1e-3, 0.0), (0.0, 0.0), (0.0, 5.0),
+                 (50.0, 100.05), (30.0, 66.0), (220.0, 484.0), (10.0, 1e4)]:
+        assert oracle._auto_epsilon(t, x, c1) == 10.0
+    column = [p for p in WINDOW if p[1] >= c1 * p[0]]
+    assert len(column) == 6
+    runs = _record_runs(monkeypatch)
+    _, info = field_modal_integral(*_columns(column), DEFAULT_PARAMS, return_info=True)
+    assert {oracle._panels(*p, DEFAULT_PARAMS)[:2] for p in column} == {(10.0, 75.0)}
+    assert [row["batch"] for row in info] == [6] * 6
+    assert tuple(column) in {run for run, _ in runs}
+
+
 def test_column_across_density_and_eps_rungs_splits_into_one_run_per_grid(monkeypatch):
-    # on V = 0.8 the interior eps steps down a rung above t = 250 and the
-    # density up a rung at t = 280: t = 240-300 falls on three grids
-    points = [(t, 0.8 * t) for t in np.arange(240.0, 301.0, 5.0)]
+    # on V = 1.9 the interior eps steps down a rung above t = 250 and the
+    # density up a rung above t = 275.2: t = 240-300 falls on three grids
+    points = [(t, 1.9 * t) for t in np.arange(240.0, 301.0, 5.0)]
     runs = _record_runs(monkeypatch)
     u, info = field_modal_integral(*_columns(points), DEFAULT_PARAMS, return_info=True)
     grid = lambda p: oracle._panels(*p, DEFAULT_PARAMS)[:2]
@@ -349,7 +374,11 @@ def test_column_across_density_and_eps_rungs_splits_into_one_run_per_grid(monkey
     assert sorted(len(g) for g in groups.values()) == [3, 5, 5]
     chained = {run for run, _ in runs if len(run) > 1}
     assert {tuple(g) for g in groups.values()} <= chained
-    assert all(len({grid(p) for p in run}) == 1 for run in chained)
+    # every run lies on one table, (eps, panel); a far panel, set by the
+    # tail's phase rate, is shared across the two densities of one eps
+    tables = lambda p: {(eps, i, panel) for eps, _, panels in [oracle._panels(*p, DEFAULT_PARAMS)] for i, panel in enumerate(panels)}
+    assert all(set.intersection(*map(tables, run)) for run in chained)
+    assert any(len({grid(p) for p in run}) > 1 for run in chained)
     _matches_scalar_calls(points, u, info)
 
 
@@ -366,13 +395,15 @@ def test_run_members_stop_at_their_own_cutoff(monkeypatch):
 
 
 def test_descending_row_chains_from_its_smallest_x(monkeypatch):
-    # t = 240, x = 470, 380, 290, all on one grid (eps 1e-3, 424/unit): at the
-    # lowest frequencies e^{-Im k x} underflows at x = 470, so a chain started
-    # there would grow a zero by the step e^{Im k 90}; it starts at x = 290
-    points = [(240.0, 470.0), (240.0, 380.0), (240.0, 290.0)]
-    assert {oracle._panels(*p, DEFAULT_PARAMS)[:2] for p in points} == {(1e-3, 300.0 * 2**0.5)}
-    lowest = oracle._tables(np.array([1e-3j]), DEFAULT_PARAMS)
-    assert min(abs(np.exp(ik[0] * 470.0)) for ik, _ in lowest) == 0.0
+    # t = 350, x = 650, 560, 470, all on one grid (eps 1e-3 / sqrt(2),
+    # 424/unit): at the lowest frequencies e^{-Im k x} underflows at x = 650,
+    # so a chain started there would grow a zero by the step e^{Im k 90}; it
+    # starts at x = 470
+    points = [(350.0, 650.0), (350.0, 560.0), (350.0, 470.0)]
+    eps = 1e-3 / 2**0.5
+    assert {oracle._panels(*p, DEFAULT_PARAMS)[:2] for p in points} == {(eps, 300.0 * 2**0.5)}
+    lowest = oracle._tables(np.array([eps * 1j]), DEFAULT_PARAMS)
+    assert min(abs(np.exp(ik[0] * 650.0)) for ik, _ in lowest) == 0.0
     runs = _record_runs(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

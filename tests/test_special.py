@@ -4,12 +4,13 @@ scipy is a test-only dependency; the package itself never imports it.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wavezones.special import airy_ai, airy_ai_prime, bessel_j0
+from wavezones.special import airy_ai, airy_ai_prime, airy_pair, bessel_j0
 
 scipy_special = pytest.importorskip("scipy.special")
 
@@ -82,3 +83,16 @@ def test_array_call_equals_scalar_calls_on_the_decay_side():
     ai, aip = airy_ai(np.append(z, 19.0)), airy_ai_prime(np.append(z, 19.0))
     assert ai[:-1].tolist() == [airy_ai(float(v)) for v in z]
     assert aip[:-1].tolist() == [airy_ai_prime(float(v)) for v in z]
+
+
+def test_airy_pair_at_nan_and_infinity():
+    # NaN falls in none of the three regions and must not read unset memory;
+    # at +inf both decay to 0, at -inf Ai decays and Ai' has no limit
+    z = np.array([np.nan, np.inf, -np.inf, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ai, aip = airy_pair(z)
+        scalars = [airy_pair(float(v)) for v in z]
+    assert np.array_equal(ai, [np.nan, 0.0, 0.0, airy_ai(1.0)], equal_nan=True)
+    assert np.array_equal(aip, [np.nan, 0.0, np.nan, airy_ai_prime(1.0)], equal_nan=True)
+    assert np.array_equal(np.array(scalars), np.stack([ai, aip], axis=1), equal_nan=True)

@@ -126,7 +126,8 @@ def _mu(mu):
 #: (182, 188.825), the default window's (500, 403.8), and (400, 300), whose
 #: eps is a rung below 1e-3 (before the Euler-Maclaurin term at w_split
 #: they read 0.14, 0.06, 0.44 and 0.04 of the tolerance; with it 0.0005,
-#: 0.0005, 0.0019 and under 0.0001)
+#: 0.0005, 0.0019 and under 0.0001; with the start at 0.53 per unit of phase
+#: rate 0.0005, 0.0005, 0.0001 and 0.015)
 ACCURACY = [
     (DEFAULT_PARAMS, 20.0, 24.0), (DEFAULT_PARAMS, 60.0, 60.0),
     (DEFAULT_PARAMS, 150.0, 100.0), (DEFAULT_PARAMS, 220.0, 300.0),

@@ -1,4 +1,4 @@
-"""Reference evaluations no asymptotics: direct quadrature of the inversion integral.
+"""Reference evaluations without asymptotics: direct quadrature of the inversion integral.
 
 The displacement is recovered from the shifted-line modal integral
 
@@ -154,17 +154,6 @@ def _sqrt2_ladder(v: float, base: float) -> float:
     return base * 2.0 ** (j / 2)
 
 
-def _auto_epsilon(t: float, x: float, c1: float) -> float:
-    """The contour height of the point (t, x).  Interior: the largest rung
-    1e-3 * 2^(-j/2), j >= 0, not above 0.25 / t, so that the rows of a late
-    window share grids.  Silent (t <= 0 or x >= c1 t): 10 at any slack, as a
-    higher contour only deepens e^{-eps * slack}; one height lets silent
-    points share their tables and runs."""
-    if t > 0.0 and x / c1 < t:
-        return 1e-3 / _sqrt2_ladder(max(4e-3 * t, 1.0), 1.0)
-    return 10.0
-
-
 def _sqrt_upper(r):
     s = np.sqrt(r)
     return np.where(s.imag < 0.0, -s, s)
@@ -184,7 +173,7 @@ _SLOPE_NODES = 64
 @functools.lru_cache(maxsize=64)
 def _frame(params: WaveguideParams):
     """(w_split, W, w_max, slopes) of the parameter set: the panel ends, and
-    the least and the largest dk/domega of the roots of :func:`_tables` on
+    the least and the largest dk/domega of the roots of :func:`_modes` on
     the far panel [W, w_max].
 
     The far panel lies well above every branch point, where the integrand
@@ -202,7 +191,7 @@ def _frame(params: WaveguideParams):
     W = float(_rungs(w_split, w_max)[-1])
     omega = np.geomspace(W, w_max, _SLOPE_NODES)
     slopes = [1.0 / c for c, _, _ in _layers(params)]
-    for _, _, dk in _modes(omega, params):
+    for _, _, dk in _modes(omega, params, slopes=True):
         slopes += np.real(dk).tolist()
     return w_split, W, w_max, (min(slopes), max(slopes))
 
@@ -214,6 +203,12 @@ def _panels(t: float, x: float, params: WaveguideParams):
     base interval count): the inner at 4 ppu, the middle at ppu and the far
     at ppu_far.  Points with equal eps and an equal panel sample the same
     frequencies on it at every level.
+
+    eps is the contour height.  An interior point (t > 0 and x < c1 t) takes
+    the largest rung 1e-3 * 2^(-j/2), j >= 0, not above 0.25 / t, so that the
+    rows of a late window share grids.  A silent point takes 10 at any slack,
+    as a higher contour only deepens e^{-eps * slack}; one height lets silent
+    points share their tables and runs.
 
     The base grid is deliberately coarse and the Richardson test decides how
     far to refine.  An interior point starts at 0.75 / sqrt(2) samples per
@@ -229,11 +224,11 @@ def _panels(t: float, x: float, params: WaveguideParams):
     300 * 2^(j/2) and capped at ppu.
     """
     w_split, W, w_max, slopes = _frame(params)
-    eps = _auto_epsilon(t, x, params.c1)
-    if t > 0.0 and x / params.c1 < t:  # the interior test of _auto_epsilon
+    if t > 0.0 and x / params.c1 < t:
+        eps = 1e-3 / _sqrt2_ladder(max(4e-3 * t, 1.0), 1.0)
         ppu = _sqrt2_ladder(max(300.0, 0.75 / math.sqrt(2.0) * (x / params.c2 + abs(t))), 300.0)
     else:
-        ppu = 75.0
+        eps, ppu = 10.0, 75.0
     rate = max(abs(x * s - t) for s in slopes)
     ppu_far = min(ppu, _sqrt2_ladder(max(_FAR_FLOOR, _FAR_PER_RATE * rate), 300.0))
     panels = (
@@ -249,11 +244,6 @@ def _layers(params: WaveguideParams):
     return (params.c1, params.omega1, params.f1), (params.c2, params.omega2, params.f2)
 
 
-def _forced(params: WaveguideParams):
-    """Indices of the layers the impulse drives (f_j != 0); the others' mu = 0 field is 0."""
-    return [j for j, (_, _, f) in enumerate(_layers(params)) if f != 0.0]
-
-
 def _uncoupled_root(omega, j: int, params: WaveguideParams):
     """(k, h, dk/domega) of layer j's mu = 0 root at omega.
 
@@ -267,41 +257,31 @@ def _uncoupled_root(omega, j: int, params: WaveguideParams):
     return k, h, omega / (c * c * k)
 
 
-def _coupled_roots(omega, params: WaveguideParams):
-    """Per root with Im k > 0: (k, A / d_k D) at omega, the small k^2 root first."""
+def _modes(omega, params: WaveguideParams, uncoupled=False, slopes=False):
+    """(k, weight, dk/domega) per root at omega: the coupled roots with
+    Im k > 0 and weight A / d_k D, the small k^2 root first, then the
+    uncoupled roots of the layers the impulse drives (f_j != 0; the others'
+    mu = 0 field is 0) with their weights negated, or with uncoupled the
+    uncoupled roots alone, not negated.
+
+    dk/domega is omega / (c_j^2 k) for an uncoupled root.  For a coupled
+    root it is the implicit derivative (:func:`derivatives_at`), computed
+    only with slopes and None otherwise: the sample tables do not use it.
+    """
     out = []
-    for r in k_squared_roots(omega, params):
+    for r in [] if uncoupled else k_squared_roots(omega, params):
         k = _sqrt_upper(r)
-        out.append((k, modal_weight(omega, k, params)))
+        out.append((k, modal_weight(omega, k, params), derivatives_at(omega, k, params).kp if slopes else None))
+    for j, (_, _, f) in enumerate(_layers(params)):
+        if f != 0.0:
+            k, h, dk = _uncoupled_root(omega, j, params)
+            out.append((k, h if uncoupled else -h, dk))
     return out
 
 
-def _roots(omega, params: WaveguideParams, uncoupled=False):
-    """(i k, weight) per root at the frequencies omega: the coupled roots, then
-    the forced layers' uncoupled roots with their weights negated, or with
-    uncoupled the uncoupled roots alone, not negated."""
-    out = [] if uncoupled else [(1j * k, h) for k, h in _coupled_roots(omega, params)]
-    for j in _forced(params):
-        k, h, _ = _uncoupled_root(omega, j, params)
-        out.append((1j * k, h if uncoupled else -h))
-    return out
-
-
-def _tables(omega, params: WaveguideParams):
-    """The trapezoid's sample tables of :func:`_roots` at omega."""
-    return _roots(omega, params)
-
-
-def _modes(omega, params: WaveguideParams, uncoupled=False):
-    """(k, weight, dk/domega) per root at omega, in the order and with the
-    signs of :func:`_roots`; dk/domega is the implicit derivative
-    (:func:`derivatives_at`) of a coupled root and omega / (c_j^2 k) of an
-    uncoupled one."""
-    out = [] if uncoupled else [(k, h, derivatives_at(omega, k, params).kp) for k, h in _coupled_roots(omega, params)]
-    for j in _forced(params):
-        k, h, dk = _uncoupled_root(omega, j, params)
-        out.append((k, h if uncoupled else -h, dk))
-    return out
+def _tables(omega, params: WaveguideParams, uncoupled=False):
+    """The trapezoid's sample tables at omega: (i k, weight) per root of :func:`_modes`."""
+    return [(1j * k, h) for k, h, _ in _modes(omega, params, uncoupled)]
 
 
 def _tail_remainder(omega, t, x, params: WaveguideParams):
@@ -318,7 +298,7 @@ def _tail_remainder(omega, t, x, params: WaveguideParams):
     the estimate is NaN, and no cutoff qualifies.
     """
     total = 0.0
-    for j, ((kc, hc), (c, om, _)) in enumerate(zip(_coupled_roots(omega, params), _layers(params))):
+    for j, ((kc, hc, _), (c, om, _)) in enumerate(zip(_modes(omega, params), _layers(params))):
         k, h, dk = _uncoupled_root(omega, j, params)
         b = np.max(np.abs(hc * np.exp(1j * x * (kc - k)) - h), axis=0)
         rate = np.abs(dk * x - t)
@@ -330,7 +310,7 @@ def _tail_remainder(omega, t, x, params: WaveguideParams):
 
 
 def _ends(omega, t, x, params: WaveguideParams, uncoupled=False):
-    """(f, slope, tail) of the points' integrand (that of :func:`_roots`) at
+    """(f, slope, tail) of the points' integrand (that of :func:`_tables`) at
     the frequencies omega, on the contour, with t and x broadcast against
     omega: the integrand, its d/domega and its one-term tail beyond omega,
     each of shape omega.shape + (2,), a component last.
@@ -346,7 +326,7 @@ def _ends(omega, t, x, params: WaveguideParams, uncoupled=False):
     step = 1e-5 * np.abs(omega)
     stencil = omega[..., None] + step[..., None] * np.array([-1.0, 0.0, 1.0])
     f = slope = tail = 0.0
-    for k, h, dk in _modes(stencil, params, uncoupled):
+    for k, h, dk in _modes(stencil, params, uncoupled, slopes=True):
         dh = (h[..., 2] - h[..., 0]) / (2.0 * step)
         h, rate = h[..., 1], dk[..., 1] * x - t
         phase = np.exp(1j * (k[..., 1] * x - omega * t))
@@ -357,30 +337,29 @@ def _ends(omega, t, x, params: WaveguideParams, uncoupled=False):
     return tuple(np.moveaxis(a, 0, -1) for a in (f, slope, tail))
 
 
-def _cutoffs(points, grids, params: WaveguideParams) -> np.ndarray:
-    """Each point's base interval count on its far panel: its cutoff.
+def _cutoffs(points, grids, params: WaveguideParams, uncoupled=False):
+    """Each point's cutoff on its far panel (W, w_max, n): (m, L), lists of
+    its base interval count m there and of L = W + (w_max - W) m / n.
 
     The cutoff is the lowest rung of :func:`_rungs` at and above which
     :func:`_tail_remainder` stays under :data:`_TAIL_BOUND`, or w_max where
     no rung qualifies; it is then rounded up to a node of the far panel's
     base grid, so that it is a node at every level.  A cutoff at W, the
     far panel's start, is node 0: the point takes no far sample.  One
-    broadcast call evaluates every point's rungs.
+    broadcast call evaluates every point's rungs.  With uncoupled every
+    cutoff is w_max, m = n.
     """
     (_, w_split, _), _, (W, w_max, _) = grids[0][2]
-    rungs = _rungs(w_split, w_max)
     eps, n = np.array([(eps, panels[-1][2]) for eps, _, panels in grids]).T
-    t, x = np.array(points).T[..., None]
-    below = _tail_remainder(rungs + 1j * eps[:, None], t, x, params) <= _TAIL_BOUND
-    ok = np.logical_and.accumulate(below, axis=1)
-    L = np.where(ok[:, 0], rungs[ok.sum(axis=1) - 1], w_max)
-    return np.minimum(n, np.ceil((L - W) / (w_max - W) * n)).astype(int)
-
-
-def _truncated(panel, m: int):
-    """The far panel (lo, hi, n) cut at node m of its base grid: (lo, L, m)."""
-    lo, hi, n = panel
-    return lo, lo + (hi - lo) * (m / n), m
+    m = n.astype(int)
+    if not uncoupled:
+        rungs = _rungs(w_split, w_max)
+        t, x = np.array(points).T[..., None]
+        below = _tail_remainder(rungs + 1j * eps[:, None], t, x, params) <= _TAIL_BOUND
+        ok = np.logical_and.accumulate(below, axis=1)
+        L = np.where(ok[:, 0], rungs[ok.sum(axis=1) - 1], w_max)
+        m = np.minimum(n, np.ceil((L - W) / (w_max - W) * n)).astype(int)
+    return m.tolist(), (W + (w_max - W) * (m / n)).tolist()
 
 
 def _runs(points):
@@ -429,13 +408,14 @@ def _chain(tables, iomega, run, ms):
     return out
 
 
-def _sample_sums(points, counts, lo, h, first, stride, eps, params, tables):
+def _sample_sums(points, counts, lo, h, first, stride, eps, params, uncoupled):
     """Per point i of points, the sum of the integrand at
     omega = lo + h (first + stride j) + i eps, j < counts[i]; shape (len(points), 2).
 
-    Each block's frequency tables are computed once, up to the largest
-    count, and shared by every point; each run of :func:`_runs` chains its
-    phase factors through them (:func:`_chain`).
+    Each block's frequency tables (:func:`_tables`, with uncoupled those of
+    the mu = 0 roots alone) are computed once, up to the largest count, and
+    shared by every point; each run of :func:`_runs` chains its phase
+    factors through them (:func:`_chain`).
     """
     total = np.zeros((len(points), 2), dtype=complex)
     runs = _runs(points)
@@ -444,7 +424,7 @@ def _sample_sums(points, counts, lo, h, first, stride, eps, params, tables):
         j1 = min(j0 + _BLOCK, end)
         idx = np.arange(first + stride * j0, first + stride * j1, stride, dtype=float)
         omega = lo + h * idx + 1j * eps
-        tab = tables(omega, params)
+        tab = _tables(omega, params, uncoupled)
         iomega = 1j * omega
         for run in runs:
             ms = np.clip(counts[run] - j0, 0, j1 - j0)
@@ -461,10 +441,11 @@ def _integrate_group(points, grids, cuts, params, uncoupled=False):
     """Nested trapezoid refinement of the points, each on its own grid.
 
     grids holds each point's (eps, ppu, panels) of :func:`_panels`, and cuts
-    its base interval count on the far panel.  The frequency tables are
-    shared per (eps, panel): every point with that contour height and panel
-    adds its sums from the same blocks.  Each point keeps its own cutoff,
-    tail, Richardson test and stopping level.
+    the (m, L) of :func:`_cutoffs`: its base interval count on the far panel
+    and its cutoff.  The frequency tables are shared per (eps, panel): every
+    point with that contour height and panel adds its sums from the same
+    blocks.  Each point keeps its own cutoff, tail, Richardson test and
+    stopping level.
 
     The sums hold plain samples.  One :func:`_ends` pass over every point's
     ends 0, w_split, W and L gives what the ends need, and :func:`value`
@@ -476,16 +457,12 @@ def _integrate_group(points, grids, cuts, params, uncoupled=False):
     None when tolerance is never met.
     """
     t, x = np.array(points).T[..., None]
-    ends = np.array([[lo for lo, _, _ in panels] + [_truncated(panels[-1], m)[1]] for (_, _, panels), m in zip(grids, cuts)])
+    ms, Ls = cuts
+    ends = np.array([[lo for lo, _, _ in panels] + [L] for (_, _, panels), L in zip(grids, Ls)])
     f, slope, tail = _ends(ends + 1j * np.array([eps for eps, _, _ in grids])[:, None], t, x, params, uncoupled)
-    if uncoupled:
-        tables = functools.partial(_roots, uncoupled=True)
-        base = np.zeros((len(points), 2))
-    else:
-        tables = _tables
-        base = np.array([_closed_form(t, x, params) for t, x in points])
+    base = np.zeros((len(points), 2)) if uncoupled else np.array([_closed_form(t, x, params) for t, x in points])
     # per point and panel: base interval count (the far one cut) and spacing
-    counts = np.array([[n for _, _, n in panels[:-1]] + [m] for (_, _, panels), m in zip(grids, cuts)])
+    counts = np.array([[n for _, _, n in panels[:-1]] + [m] for (_, _, panels), m in zip(grids, ms)])
     steps = np.array([[(hi - lo) / n for lo, hi, n in panels] for _, _, panels in grids])
     shared: dict = {}
     for i, (eps, _, panels) in enumerate(grids):
@@ -507,10 +484,8 @@ def _integrate_group(points, grids, cuts, params, uncoupled=False):
                 continue
             c, step = counts[rows, p], steps[rows[0], p] / 2**level
             at = [points[i] for i in rows]
-            if level == 0:
-                sums[rows, p] += _sample_sums(at, c + (c > 0), lo, step, 0, 1, eps, params, tables)
-            else:
-                sums[rows, p] += _sample_sums(at, c << (level - 1), lo, step, 1, 2, eps, params, tables)
+            first, count = (0, c + (c > 0)) if level == 0 else (1, c << (level - 1))
+            sums[rows, p] += _sample_sums(at, count, lo, step, first, first + 1, eps, params, uncoupled)
 
     def value(active, level):
         # each panel's spacing, 0 on an empty far panel, and the spacings
@@ -604,13 +579,13 @@ def _quadrature(ts, xs, params: WaveguideParams, uncoupled=False):
     if not points:
         return np.zeros((0, 2)), []
     grids = [_panels(t, x, params) for t, x in points]
-    cuts = [panels[-1][2] for _, _, panels in grids] if uncoupled else _cutoffs(points, grids, params).tolist()
+    cuts = _cutoffs(points, grids, params, uncoupled)
     results = _integrate_group(points, grids, cuts, params, uncoupled)
     # the inner and middle panels are set by ppu alone: a point shares both or neither
     batch = collections.Counter((eps, panels[0]) for eps, _, panels in grids)
     u = np.full((len(ts), 2), np.nan)
     infos = []
-    for i, ((t, x), (eps, ppu, panels), m, (ui, level, est)) in enumerate(zip(points, grids, cuts, results)):
+    for i, ((t, x), (eps, ppu, panels), m, L, (ui, level, est)) in enumerate(zip(points, grids, *cuts, results)):
         error = None
         if ui is None:
             error = NoConvergence(
@@ -622,7 +597,7 @@ def _quadrature(ts, xs, params: WaveguideParams, uncoupled=False):
             u[i] = ui
         infos.append({
             "epsilon": eps,
-            "omega_max": _truncated(panels[-1], m)[1],
+            "omega_max": L,
             "points_per_unit": ppu * 2**level,
             "richardson": est,
             "samples": sum((n << level) + 1 for n in (panels[0][2], panels[1][2], m) if n),
@@ -640,8 +615,11 @@ def _quadrature(ts, xs, params: WaveguideParams, uncoupled=False):
 def scalar_kg_exact(t: float, x: float, c: float, Omega: float) -> float:
     """Impulse response of a single layer: -J0(Omega sqrt(t^2 - x^2/c^2))/(2c).
 
-    Zero outside the cone |x| >= c t (and for t <= 0).
+    Zero outside the cone |x| >= c t (and for t <= 0).  A non-finite t or x
+    raises :class:`InvalidArgument`.
     """
+    if not (math.isfinite(t) and math.isfinite(x)):
+        raise InvalidArgument(f"scalar_kg_exact needs finite t and x, got t={t!r}, x={x!r}")
     if t <= 0.0 or abs(x) >= c * t:
         return 0.0
     z = Omega * math.sqrt(t * t - (x / c) ** 2)
@@ -651,8 +629,11 @@ def scalar_kg_exact(t: float, x: float, c: float, Omega: float) -> float:
 def scalar_kg_far(t: float, x: float, c: float, Omega: float, S: float = 3.0) -> float:
     """Large-argument form -cos(z - pi/4) / (c sqrt(2 pi z)), z = Omega tau.
 
-    Valid in the far zone z > S; raises :class:`OutsideFarZone` elsewhere.
+    Valid in the far zone z > S; raises :class:`OutsideFarZone` elsewhere,
+    and :class:`InvalidArgument` at a non-finite t or x.
     """
+    if not (math.isfinite(t) and math.isfinite(x)):
+        raise InvalidArgument(f"scalar_kg_far needs finite t and x, got t={t!r}, x={x!r}")
     if t <= 0.0 or abs(x) >= c * t:
         raise OutsideFarZone(f"outside the propagation cone, got t={t!r}, x={x!r}, c={c!r}")
     z = Omega * math.sqrt(t * t - (x / c) ** 2)

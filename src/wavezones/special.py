@@ -76,16 +76,23 @@ def _hankel_ab(inv_x2, n_terms):
 
 
 def _j0_asymptotic(x):
-    # J0 ~ sqrt(2/(pi x)) [cos(chi) P(1/x^2) + sin(chi) Q(1/x^2)/x], chi = x - pi/4
+    # J0 ~ sqrt(2/(pi x)) [cos(chi) P(1/x^2) + sin(chi) Q(1/x^2)/x], chi = x - pi/4;
+    # beyond |x| ~ 1e154 x^2 overflows and 1/x^2 = 0, and at +-inf, where
+    # cos(chi) is NaN, J0 takes its limit 0
     ax = np.abs(x)
-    inv_x2 = 1.0 / (ax * ax)
-    p, q = _hankel_ab(inv_x2, n_terms=9)
-    chi = ax - 0.25 * math.pi
-    return np.sqrt(2.0 / (math.pi * ax)) * (np.cos(chi) * p + np.sin(chi) * q / ax)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv_x2 = 1.0 / (ax * ax)
+        p, q = _hankel_ab(inv_x2, n_terms=9)
+        chi = ax - 0.25 * math.pi
+        j0 = np.sqrt(2.0 / (math.pi * ax)) * (np.cos(chi) * p + np.sin(chi) * q / ax)
+    return np.where(np.isinf(ax), 0.0, j0)
 
 
 def bessel_j0(x):
-    """Bessel function of the first kind, order zero, for real argument."""
+    """Bessel function of the first kind, order zero, for real argument.
+
+    NaN gives NaN, and at +-inf J0 takes its limit 0, without a warning.
+    """
     arr, scalar = _as_array(x)
     a = np.atleast_1d(arr)
     out = np.empty_like(a)

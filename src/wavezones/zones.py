@@ -372,10 +372,13 @@ def zone_diagram(params: WaveguideParams, t_range, v_range, shape=(60, 60), S: f
 def scalar_zone_classify(t: float, x: float, c: float, Omega: float, S: float = 3.0) -> ScalarZoneLabel:
     """Single-layer diagram: far (z > S), near (z < 1/S), bessel between.
 
-    z = Omega sqrt(t^2 - x^2/c^2); outside the cone the field is zero.
+    z = Omega sqrt(t^2 - x^2/c^2); outside the cone the field is zero.  A
+    non-finite t or x raises :class:`InvalidArgument`.
     """
     if S <= 0.0:
         raise InvalidArgument(f"threshold S must be positive, got S={S!r}")
+    if not (math.isfinite(t) and math.isfinite(x)):
+        raise InvalidArgument(f"scalar_zone_classify needs finite t and x, got t={t!r}, x={x!r}")
     if t <= 0.0 or abs(x) >= c * t:
         return ScalarZoneLabel("zero", S)
     z = Omega * math.sqrt(t * t - (x / c) ** 2)

@@ -4,11 +4,13 @@ All invocations go through main(argv) in-process; no subprocesses.
 """
 
 import contextlib
+import csv
 import io
 import json
 import re
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -184,6 +186,27 @@ def test_field_json_point(tmp_path):
     num = max(abs(a - b) for a, b in zip(pt["u_asym"], pt["u_oracle"]))
     den = max(abs(b) for b in pt["u_oracle"])
     assert num / den < 0.05
+
+
+def test_field_oracle_columns_match_pinned_window(tmp_path):
+    # the oracle side of the field_grid benchmark window, pinned to 1e-12 of
+    # its max|u|: a change of the quadrature that moves a value by more than
+    # rounding fails here (the assembled side is pinned in test_asymptotics)
+    out = tmp_path / "f.csv"
+    rc = main([
+        "field", "--grid", "6x5", "--t-min", "30", "--t-max", "220",
+        "--v-min", "0.65", "--v-max", "2.2", "--out", str(out),
+    ])
+    assert rc == 0
+    got = list(csv.DictReader(line for line in _read(out).splitlines() if not line.startswith("#")))
+    with open(Path(__file__).parent / "data" / "field_6x5_oracle.csv", encoding="utf-8") as fh:
+        pinned = list(csv.DictReader(fh))
+    assert [(row["t"], row["V"]) for row in got] == [(row["t"], row["V"]) for row in pinned]
+    columns = ("u1_oracle", "u2_oracle")
+    scale = max(abs(float(row[c])) for row in pinned for c in columns)
+    assert scale > 0.01
+    for row, want in zip(got, pinned):
+        assert all(abs(float(row[c]) - float(want[c])) <= 1e-12 * scale for c in columns), (row["t"], row["V"])
 
 
 def test_field_reports_unconverged_points(tmp_path, monkeypatch):

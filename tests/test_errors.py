@@ -20,7 +20,7 @@ from wavezones.errors import (
     WrongSignCurvature,
 )
 from wavezones.model import DEFAULT_PARAMS as P, crossing_point
-from wavezones.oracle import field_modal_integral, scalar_kg_far
+from wavezones.oracle import field_modal_integral, scalar_kg_exact, scalar_kg_far
 from wavezones.saddle import find_real_saddles
 from wavezones.zones import classify, scalar_zone_classify, zone_diagram
 
@@ -60,6 +60,12 @@ NON_FINITE = {  # a NaN or infinite t, x or V, and the value the message must na
     "assemble_field x inf": (lambda: assemble_field(10.0, INF, P), "x=inf"),
     "classify t nan": (lambda: classify(NAN, 1.0, P), "t=nan"),
     "classify V nan": (lambda: classify(20.0, NAN, P), "V=nan"),
+    "scalar_kg_exact t nan": (lambda: scalar_kg_exact(NAN, 1.0, 2.0, 3.0), "t=nan"),
+    "scalar_kg_exact x inf": (lambda: scalar_kg_exact(10.0, INF, 2.0, 3.0), "x=inf"),
+    "scalar_kg_far t inf": (lambda: scalar_kg_far(INF, 1.0, 2.0, 3.0), "t=inf"),
+    "scalar_kg_far x nan": (lambda: scalar_kg_far(10.0, NAN, 2.0, 3.0), "x=nan"),
+    "scalar_zone_classify t nan": (lambda: scalar_zone_classify(NAN, 1.0, 2.0, 3.0), "t=nan"),
+    "scalar_zone_classify x -inf": (lambda: scalar_zone_classify(10.0, -INF, 2.0, 3.0), "x=-inf"),
 }
 
 

@@ -40,7 +40,8 @@ def _base_intervals(t, x, p):
     doubling, the last one ending at the point's cutoff."""
     grid = oracle._panels(t, x, p)
     panels = grid[2]
-    return panels[:-1] + (oracle._truncated(panels[-1], oracle._cutoffs([(t, x)], [grid], p)[0]),)
+    (m,), (L,) = oracle._cutoffs([(t, x)], [grid], p)
+    return panels[:-1] + ((panels[-1][0], L, m),)
 
 
 def _finest(panels, doublings):
@@ -52,7 +53,7 @@ def _count_samples(monkeypatch):
     """Sizes of the frequency tables the oracle computes, one entry per block."""
     counted = []
     tables = oracle._tables
-    monkeypatch.setattr(oracle, "_tables", lambda w, p: counted.append(w.size) or tables(w, p))
+    monkeypatch.setattr(oracle, "_tables", lambda w, p, uncoupled=False: counted.append(w.size) or tables(w, p, uncoupled))
     return counted
 
 
@@ -239,8 +240,10 @@ def test_tables_slopes_fall_from_w_to_speed_limit(p):
     _, W, w_max, (lo, hi) = oracle._frame(p)
     omega = np.geomspace(W, w_max, 4000)
     layers = oracle._layers(p)
-    roots = [(np.real(oracle.derivatives_at(omega, k, p).kp), c) for (k, _), (c, _, _) in zip(oracle._coupled_roots(omega, p), layers)]
-    roots += [(np.real(oracle._uncoupled_root(omega, j, p)[2]), layers[j][0]) for j in oracle._forced(p)]
+    # the coupled roots pair with the layers in order, then one uncoupled
+    # root per forced layer
+    speeds = [c for c, _, _ in layers] + [c for c, _, f in layers if f != 0.0]
+    roots = [(np.real(dk), c) for (_, _, dk), c in zip(oracle._modes(omega, p, slopes=True), speeds, strict=True)]
     for kp, c in roots:
         assert np.all(np.diff(kp) <= 1e-15)
         assert np.all(kp >= (1.0 - 1e-12) / c)
@@ -352,7 +355,7 @@ def test_silent_points_share_one_contour_height_and_chain(monkeypatch):
     c1 = DEFAULT_PARAMS.c1
     for t, x in [(-50.0, 0.0), (-5.0, 10.0), (-1e-3, 0.0), (0.0, 0.0), (0.0, 5.0),
                  (50.0, 100.05), (30.0, 66.0), (220.0, 484.0), (10.0, 1e4)]:
-        assert oracle._auto_epsilon(t, x, c1) == 10.0
+        assert oracle._panels(t, x, DEFAULT_PARAMS)[0] == 10.0
     column = [p for p in WINDOW if p[1] >= c1 * p[0]]
     assert len(column) == 6
     runs = _record_runs(monkeypatch)
@@ -519,7 +522,8 @@ def test_silent_outside_front():
 
 def test_controls_are_honoured(monkeypatch):
     # the contour height is a numerical knob: another height, same value
-    monkeypatch.setattr(oracle, "_auto_epsilon", lambda t, x, c1: 0.002)
+    panels = oracle._panels
+    monkeypatch.setattr(oracle, "_panels", lambda t, x, p: (0.002,) + panels(t, x, p)[1:])
     u, info = field_modal_integral(20.0, 24.0, DEFAULT_PARAMS, return_info=True)
     assert info["epsilon"] == 0.002
     assert u[0] == pytest.approx(0.02873564642655081, abs=1e-6)

@@ -96,3 +96,17 @@ def test_airy_pair_at_nan_and_infinity():
     assert np.array_equal(ai, [np.nan, 0.0, 0.0, airy_ai(1.0)], equal_nan=True)
     assert np.array_equal(aip, [np.nan, 0.0, np.nan, airy_ai_prime(1.0)], equal_nan=True)
     assert np.array_equal(np.array(scalars), np.stack([ai, aip], axis=1), equal_nan=True)
+
+
+def test_j0_at_nan_infinity_and_huge_arguments():
+    # NaN gives NaN and +-inf the limit 0; at |x| = 1e300, x^2 overflows and
+    # the Hankel sums take 1/x^2 = 0, all without a warning
+    x = np.array([np.nan, np.inf, -np.inf, 1e300, -1e300, 30.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = bessel_j0(x)
+        scalars = [bessel_j0(float(a)) for a in x]
+    assert np.isnan(v[0]) and v[1] == v[2] == 0.0
+    assert abs(v[3]) < 1e-150 and v[3] == v[4]
+    assert v[5] == pytest.approx(scipy_special.j0(30.0), abs=1e-12)
+    assert np.array_equal(np.array(scalars), v, equal_nan=True)

@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from .errors import BranchPointProximity, ExtremumNotFound, InvalidArgument, NoConvergence, OverstrongCoupling
-from .model import WaveguideParams, crossing_point, symbol_dk, symbol_dw, symbol_pq, symbol_second
+from .model import WaveguideParams, crossing_point, symbol_dk, symbol_dw, symbol_pq, symbol_second, symbol_third
 
 __all__ = [
     "k_squared_roots",
@@ -125,16 +125,12 @@ def derivatives_at(omega, k, params: WaveguideParams) -> DispersionDerivatives:
     inputs raise :class:`BranchPointProximity` where d_k D degenerates
     (branch point or cutoff) and the implicit derivatives blow up.
     """
-    c1s, c2s = params.c1**2, params.c2**2
     P, Q = symbol_pq(omega, k, params)
     D = P * Q - params.mu**2
     Dk = symbol_dk(k, P, Q, params)
     Dw = symbol_dw(omega, P, Q)
     Dkk, Dww, Dwk = symbol_second(omega, k, P, Q, params)
-    Dwww = 24.0 * omega
-    Dwwk = -4.0 * k * (c1s + c2s)
-    Dwkk = -4.0 * omega * (c1s + c2s)
-    Dkkk = 24.0 * (c1s * c2s) * k
+    Dwww, Dwwk, Dwkk, Dkkk = symbol_third(omega, k, params)
     scalar = np.ndim(omega) == 0 and np.ndim(k) == 0
     if scalar and abs(Dk) == 0.0:
         raise BranchPointProximity(f"d_k D vanishes at omega={omega}, k={k}")

@@ -51,6 +51,7 @@ __all__ = [
     "symbol_dk",
     "symbol_dw",
     "symbol_second",
+    "symbol_third",
     "symbol_numerator",
     "dispersion_D",
     "amplitude_A",
@@ -189,6 +190,12 @@ def symbol_second(omega, k, P, Q, params: WaveguideParams):
     Dww = 2.0 * (P + Q) + 8.0 * omega**2
     Dwk = -4.0 * omega * k * (c1s + c2s)
     return Dkk, Dww, Dwk
+
+
+def symbol_third(omega, k, params: WaveguideParams):
+    """Third partials (D_www, D_wwk, D_wkk, D_kkk) of D at (omega, k)."""
+    c1s, c2s = params.c1**2, params.c2**2
+    return 24.0 * omega, -4.0 * k * (c1s + c2s), -4.0 * omega * (c1s + c2s), 24.0 * (c1s * c2s) * k
 
 
 def symbol_numerator(P, Q, params: WaveguideParams):

@@ -433,8 +433,11 @@ def _sample_sums(points, counts, lo, h, first, stride, eps, params, uncoupled):
 
 
 def _closed_form(t: float, x: float, params: WaveguideParams) -> np.ndarray:
-    """The mu = 0 field (f1 K(c1, omega1), f2 K(c2, omega2)), K = :func:`scalar_kg_exact`."""
-    return np.array([f * scalar_kg_exact(t, x, c, om) for c, om, f in _layers(params)])
+    """The mu = 0 field (f1 K(c1, omega1), f2 K(c2, omega2)), K = :func:`scalar_kg_exact`.
+
+    An unforced layer (f_j = 0) is 0 without evaluating its K.
+    """
+    return np.array([f * scalar_kg_exact(t, x, c, om) if f else 0.0 for c, om, f in _layers(params)])
 
 
 def _integrate_group(points, grids, cuts, params, uncoupled=False):

@@ -3,24 +3,29 @@ every other failure names the numbers it saw."""
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wavezones.asymptotics import _pair_calibrated, _q_loop, airy_term, assemble_field, j_term, q_function, sp_term
-from wavezones.dispersion import branch_k, cutoff_frequencies, group_velocity_extrema, sample_diagram
+from wavezones.dispersion import branch_k, cutoff_frequencies, derivatives_at, group_velocity_extrema, sample_diagram
 from wavezones.errors import (
+    BranchPointProximity,
+    DegenerateCurvature,
     DegenerateSpeeds,
     NoConvergence,
+    NonPositiveParameter,
     OrderingViolation,
     OutsideFarZone,
     OutsideWedge,
     OverstrongCoupling,
+    ParameterFileError,
     WavezonesError,
     WrongSignCurvature,
 )
-from wavezones.model import DEFAULT_PARAMS as P, crossing_point
-from wavezones.oracle import field_modal_integral, scalar_kg_exact, scalar_kg_far
+from wavezones.model import DEFAULT_PARAMS as P, crossing_point, load_params, validate
+from wavezones.oracle import field_modal_integral, j_int_quadrature, scalar_kg_exact, scalar_kg_far
 from wavezones.saddle import find_real_saddles
 from wavezones.zones import classify, scalar_zone_classify, zone_diagram
 
@@ -89,6 +94,20 @@ def _unchecked(**kwargs):
     return dataclasses.replace(P, **kwargs)
 
 
+def _flat_saddle():
+    """A real saddle with its curvature replaced by 1e-13."""
+    return dataclasses.replace(find_real_saddles(0.8, P)[0], alpha=1e-13)
+
+
+def _max_called_min():
+    """The velocity maximum of the default preset, labelled a minimum."""
+    return dataclasses.replace(group_velocity_extrema(P)[0], kind="min")
+
+
+_KEYS = {"c1": 2.0, "c2": 1.8, "omega1": 3.0, "omega2": 3.5}
+_NO_FILE = str(Path(__file__).parent / "data" / "no_such_params.json")
+
+
 FAILURES = {  # site: (call, exception type, message prefix, a value the message must name)
     "_pair_calibrated": (_like_curvature_pair,
                          WrongSignCurvature, "pair calibration needs opposite-curvature saddles", "family 1"),
@@ -104,6 +123,23 @@ FAILURES = {  # site: (call, exception type, message prefix, a value the message
                                 OrderingViolation, "no positive-k crossing", "omega2=2.75"),
     "scalar_kg_far": (lambda: scalar_kg_far(-1.25, 1.0, 2.0, 3.0),
                       OutsideFarZone, "outside the propagation cone", "t=-1.25"),
+    "scalar_kg_far z <= S": (lambda: scalar_kg_far(1.0, 0.5, 2.0, 1.5),
+                             OutsideFarZone, "phase argument z=1.45 not beyond S=3", "z=1.45"),
+    "sp_term": (lambda: sp_term(_flat_saddle(), 10.0, 8.0, P),
+                DegenerateCurvature, "curvature 1e-13 too small", "1e-13"),
+    "airy_term": (lambda: airy_term(_max_called_min(), 10.0, 8.0, P),
+                  WrongSignCurvature, "extremum kind 'min' contradicts cubic coefficient", "-0.158"),
+    "j_term wedge": (lambda: j_term(10.0, 30.0, P), OutsideWedge, "(t=10, x=30) outside", "[18.5306, 22.8773]"),
+    "j_int_quadrature": (lambda: j_int_quadrature(10.0, 30.0, P),
+                         OutsideWedge, "(t=10, x=30) outside", "[18.5306, 22.8773]"),
+    "derivatives_at": (lambda: derivatives_at(3.25, 0.0, P), BranchPointProximity, "d_k D vanishes", "k=0.0"),
+    "load_params missing": (lambda: load_params(_KEYS),
+                            ParameterFileError, "missing required parameter key(s)", "mu"),
+    "load_params non-number": (lambda: load_params({**_KEYS, "mu": "half"}),
+                               ParameterFileError, "parameter 'mu' must be a number", "'half'"),
+    "load_params unreadable": (lambda: load_params(_NO_FILE),
+                               ParameterFileError, "cannot read parameter file", "no_such_params.json"),
+    "validate": (lambda: validate(_unchecked(mu=-0.25)), NonPositiveParameter, "mu must be >= 0", "-0.25"),
 }
 
 

@@ -23,6 +23,9 @@ from wavezones.model import (
     load_params,
     symbol_dk,
     symbol_dw,
+    symbol_pq,
+    symbol_second,
+    symbol_third,
     validate,
 )
 
@@ -91,6 +94,18 @@ def test_symbol_helpers_match_explicit_matrix():
         dw_fd = (det(w + h, k) - det(w - h, k)) / (2 * h)
         assert symbol_dk(k, P, Q, p) == pytest.approx(dk_fd, rel=1e-6, abs=1e-8 * size)
         assert symbol_dw(w, P, Q) == pytest.approx(dw_fd, rel=1e-6, abs=1e-8 * size)
+
+
+def test_third_partials_are_the_slopes_of_the_second():
+    # the second partials are quadratic in (omega, k), so central differences are exact up to rounding
+    p = WaveguideParams(c1=2.0, c2=1.8, omega1=3.0, omega2=3.5, mu=0.5)
+    second = lambda w_, k_: np.array(symbol_second(w_, k_, *symbol_pq(w_, k_, p), p))
+    w, k, h = 4.5 + 0.25j, 1.75 - 0.5j, 1e-3
+    d_w = (second(w + h, k) - second(w - h, k)) / (2 * h)  # (D_wkk, D_www, D_wwk)
+    d_k = (second(w, k + h) - second(w, k - h)) / (2 * h)  # (D_kkk, D_wwk, D_wkk)
+    Dwww, Dwwk, Dwkk, Dkkk = symbol_third(w, k, p)
+    assert np.allclose(d_w, [Dwkk, Dwww, Dwwk], rtol=1e-9)
+    assert np.allclose(d_k, [Dkkk, Dwwk, Dwkk], rtol=1e-9)
 
 
 def test_crossing_point_values():

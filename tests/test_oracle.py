@@ -553,6 +553,14 @@ def test_decoupled_limit_matches_scalar_closed_form():
     assert abs(u[0, 1]) < 1e-9
 
 
+def test_closed_form_skips_an_unforced_layer(monkeypatch):
+    # the default forcing (1, 0) leaves layer 2 unforced: its K is never evaluated
+    seen = []
+    monkeypatch.setattr(oracle, "scalar_kg_exact", lambda t, x, c, om: seen.append(c) or 0.25)
+    assert oracle._closed_form(10.0, 5.0, DEFAULT_PARAMS).tolist() == [0.25, 0.0]
+    assert seen == [DEFAULT_PARAMS.c1]
+
+
 def test_j_int_quadrature_component_structure():
     x = 58.0
     t = x / 1.465141  # mid-wedge ray

@@ -75,16 +75,6 @@ def test_ai_decay_scale():
     assert np.max(np.abs(airy_ai(z))) < 0.6
 
 
-def test_array_call_equals_scalar_calls_on_the_decay_side():
-    # the Poincare truncation of the z > 6.5 expansion stops per element,
-    # so no value depends on the other elements of its batch
-    z = np.random.default_rng(3).uniform(6.5, 20.0, 2000)
-    z[0] = 6.51
-    ai, aip = airy_ai(np.append(z, 19.0)), airy_ai_prime(np.append(z, 19.0))
-    assert ai[:-1].tolist() == [airy_ai(float(v)) for v in z]
-    assert aip[:-1].tolist() == [airy_ai_prime(float(v)) for v in z]
-
-
 def test_airy_pair_at_nan_and_infinity():
     # NaN falls in none of the three regions and must not read unset memory;
     # at +inf both decay to 0, at -inf Ai decays and Ai' has no limit
@@ -110,3 +100,38 @@ def test_j0_at_nan_infinity_and_huge_arguments():
     assert abs(v[3]) < 1e-150 and v[3] == v[4]
     assert v[5] == pytest.approx(scipy_special.j0(30.0), abs=1e-12)
     assert np.array_equal(np.array(scalars), v, equal_nan=True)
+
+
+def test_array_call_equals_scalar_calls_in_every_region():
+    # every series stops per element (the Maclaurin sums at their first
+    # term below 1e-18, the z > 6.5 expansion before its first growing
+    # term), so no value depends on its batch: J0's first zero beside 12.0,
+    # where the series runs longest, both sides of each seam, and the
+    # inner, decay and oscillatory Airy regions
+    rng = np.random.default_rng(29)
+    x = np.concatenate(([J0_ZERO_1, 12.0, -12.0, np.nextafter(12.0, 13.0), 0.0, 1e-9, 40.0],
+                        rng.uniform(-40.0, 40.0, 400)))
+    assert bessel_j0(x).tolist() == [bessel_j0(float(v)) for v in x]
+    z = np.concatenate(([AI_ZERO_1, 6.5, -6.5, np.nextafter(6.5, 7.0), np.nextafter(-6.5, -7.0), 0.0, 1e-7, 6.51],
+                        rng.uniform(-20.0, 20.0, 400), np.random.default_rng(3).uniform(6.5, 20.0, 2000)))
+    ai, aip = airy_pair(z)
+    assert list(zip(ai.tolist(), aip.tolist())) == [airy_pair(float(v)) for v in z]
+
+
+def test_airy_pair_at_huge_arguments():
+    # from |z| ~ 7e102 on the left zeta^2 overflows and 1/zeta^2 is taken as 0;
+    # beyond about 3e205 zeta itself overflows and the +-inf limits hold:
+    # (0, 0) on the right and (0, NaN) on the left, all without a warning
+    z = np.array([-1e300, -3.3e205, -1e205, -1e150, -7e102, 1e150, 1e205, 3.3e205, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ai, aip = airy_pair(z)
+        scalars = [airy_pair(float(v)) for v in z]
+    assert ai.tolist()[:2] == [0.0, 0.0] and np.isnan(aip[:2]).all()
+    # between the two overflows the oscillation's envelope still holds
+    x = -z[2:5]
+    assert np.isfinite(ai[2:5]).all() and np.isfinite(aip[2:5]).all()
+    assert (np.abs(ai[2:5]) <= 1.0 / (math.sqrt(math.pi) * x**0.25)).all()
+    assert (np.abs(aip[2:5]) <= 1.01 * x**0.25 / math.sqrt(math.pi)).all()
+    assert ai.tolist()[5:] == [0.0] * 4 and aip.tolist()[-2:] == [0.0, 0.0]
+    assert np.array_equal(np.array(scalars), np.stack([ai, aip], axis=1), equal_nan=True)
